@@ -109,6 +109,28 @@ def test_incremental_warm_path_floor():
         f"asm {doc['layers']['asm']['incremental']['warm_speedup_vs_engine']:.2f}x)")
 
 
+def test_reconvergence_replay_step_floor():
+    """Reconvergence early exit (DESIGN §18) must cut the suffix steps
+    the engine replays on the CI smoke workload to at most 0.75x of the
+    ledger-off run (both layers summed; 0.62x when the ledger landed),
+    with bit-identical campaign results.  Step counts are deterministic
+    for the fixed seed, so this floor is exact, not a wall-clock
+    measurement.
+    """
+    from repro.fi.bench import run_campaign_bench
+
+    doc = run_campaign_bench()          # pathfinder/medium n=40 seed=2023
+    for layer, d in doc["layers"].items():
+        assert d["reconvergence"]["results_identical"], \
+            f"{layer} campaign results change with reconvergence on"
+    r = doc["overall"]["reconvergence"]
+    assert r["reconverged"] > 0, "no replay reconverged"
+    assert r["step_ratio"] <= 0.75, (
+        f"reconvergence replayed {r['step_ratio']:.2f}x of the ledger-off "
+        f"suffix steps (> 0.75x): {r['on_replay_steps']} vs "
+        f"{r['off_replay_steps']}")
+
+
 def test_pruned_stratified_steps_floor():
     """A pruned+stratified campaign must reproduce the 3000-injection
     uniform campaign's SDC estimate (estimate inside the uniform CI at

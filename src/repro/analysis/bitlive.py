@@ -61,6 +61,7 @@ from ..utils import bits
 __all__ = [
     "BitliveConfig",
     "BitliveReport",
+    "IRLiveTemps",
     "WEAKENINGS",
     "analyze",
     "analyze_ir",
@@ -362,6 +363,77 @@ def analyze_ir(module, fault_model: Optional[str] = None,
                 if cm:
                     report.benign[inst.iid] = cm
     return report
+
+
+class IRLiveTemps:
+    """Value-level liveness of SSA temps at IR program points.
+
+    ``at(fn, block, index)`` is the set of temp iids that some path from
+    the point right before ``block.instructions[index]`` reads before
+    redefining — the only temps of a frame at that point that can
+    influence the rest of the run.  A frame keeps every temp it ever
+    computed until it pops, so state comparisons restricted to this set
+    (reconvergence, :mod:`repro.fi.ledger`) see through dead values.
+    Classic backward dataflow over each function's CFG (the IR has no
+    phi nodes), computed per function on first use and memoized per
+    program point.  Returns ``None`` for a block it cannot place.
+    """
+
+    def __init__(self) -> None:
+        self._live_out: Dict[object, Dict[object, frozenset]] = {}
+        self._at: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
+
+    def _function(self, fn) -> Dict[object, frozenset]:
+        live_out = self._live_out.get(fn)
+        if live_out is not None:
+            return live_out
+        gen: Dict[object, set] = {}
+        kill: Dict[object, set] = {}
+        for block in fn.blocks:
+            g: set = set()
+            k: set = set()
+            for inst in reversed(block.instructions):
+                k.add(inst.iid)
+                g.discard(inst.iid)
+                for op in inst.operands:
+                    if isinstance(op, Instruction):
+                        g.add(op.iid)
+            gen[block] = g
+            kill[block] = k
+        live_in: Dict[object, frozenset] = {b: frozenset() for b in fn.blocks}
+        out: Dict[object, frozenset] = {b: frozenset() for b in fn.blocks}
+        changed = True
+        while changed:
+            changed = False
+            for block in reversed(fn.blocks):
+                o = frozenset().union(
+                    *(live_in[s] for s in block.successors()
+                      if s in live_in))
+                i = frozenset(gen[block] | (o - kill[block]))
+                if o != out[block] or i != live_in[block]:
+                    out[block] = o
+                    live_in[block] = i
+                    changed = True
+        self._live_out[fn] = out
+        return out
+
+    def at(self, fn, block, index: int) -> Optional[Tuple[int, ...]]:
+        key = (id(block), index)
+        if key in self._at:
+            return self._at[key]
+        out = self._function(fn).get(block)
+        if out is None:
+            live = None
+        else:
+            cur = set(out)
+            for inst in reversed(block.instructions[index:]):
+                cur.discard(inst.iid)
+                for op in inst.operands:
+                    if isinstance(op, Instruction):
+                        cur.add(op.iid)
+            live = tuple(sorted(cur))
+        self._at[key] = live
+        return live
 
 
 # ---------------------------------------------------------------------------

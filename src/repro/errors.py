@@ -107,3 +107,23 @@ class CheckpointsDone(Exception):
     ``run()`` wrappers, which report the partial run as an OK result
     flagged with ``extra["early_stop"]``.
     """
+
+
+#: "no further ledger grid point" — the reconvergence cursor of the
+#: generated-code tiers when a run carries no ledger
+NO_POINT = 1 << 62
+
+
+class Reconverged(Exception):
+    """Internal control-flow signal, not an error: a replay's complete
+    state equals the golden state at ledger grid point ``index``, so the
+    rest of the run is golden's (:mod:`repro.fi.ledger`).
+
+    Raised by the simulator drivers and caught by their ``run()``
+    wrappers, which report the golden outcome flagged with
+    ``extra["reconverged"]``.
+    """
+
+    def __init__(self, index: int):
+        super().__init__(index)
+        self.index = index

@@ -48,6 +48,16 @@ pruned campaign over the *identical* uniform draw must return
 bit-identical outcome estimates while skipping the simulation of every
 statically-benign draw.
 
+Since bench_campaign/7 each layer carries a ``reconvergence`` section
+(DESIGN §18): the same engine campaign timed warm with the golden state
+ledger off (``REPRO_RECONVERGE=0``) and on, reporting the replayed
+suffix steps and wall time of both, their ratios, and how many replays
+ended early; the results must be bit-identical.  The step ratio is
+deterministic and carries the ceiling enforced by
+``benchmarks/test_perf_simulators.py``.  The pruning section runs with
+the ledger off, so it keeps measuring what pruning and stratification
+alone save.
+
 Since bench_campaign/3 it additionally carries a ``testgen`` section
 (DESIGN §12): a differential-oracle smoke over a handful of generated
 programs timed against a 60 s budget, plus the
@@ -71,7 +81,7 @@ from ..pipeline import build
 
 __all__ = ["run_campaign_bench", "render_bench", "campaign_signature"]
 
-BENCH_SCHEMA = "bench_campaign/6"
+BENCH_SCHEMA = "bench_campaign/7"
 
 #: wall-clock budget for the testgen oracle-matrix smoke
 TESTGEN_BUDGET_SECONDS = 60.0
@@ -156,7 +166,18 @@ def _run_pruning_section() -> Dict:
     statically-benign draw's simulation skipped.  All step counts are
     deterministic for the fixed (benchmark, scale, seed), so the ratios
     below are reproducible figures, not wall-clock noise.
+
+    Runs with the golden state ledger off: reconvergence also makes
+    Benign draws cheap, so with it on the uniform reference shrinks
+    too and the ratios would mix the two mechanisms (measured with it
+    on: 1.60x stratified, 1.05x pruned).  Reconvergence has its own
+    section.
     """
+    with _env("REPRO_RECONVERGE", "0"):
+        return _pruning_section()
+
+
+def _pruning_section() -> Dict:
     from .campaign import run_asm_campaign, run_ir_campaign
 
     built = build(PRUNING_BENCHMARK, scale=PRUNING_SCALE,
@@ -228,17 +249,27 @@ def _run_pruning_section() -> Dict:
 
 
 @contextmanager
-def _contain_env(value: str):
-    """Temporarily pin ``REPRO_CONTAIN`` (the sandbox on/off switch)."""
-    prev = os.environ.get("REPRO_CONTAIN")
-    os.environ["REPRO_CONTAIN"] = value
+def _env(name: str, value: str):
+    """Temporarily pin an on/off switch (``REPRO_CONTAIN``,
+    ``REPRO_RECONVERGE``)."""
+    prev = os.environ.get(name)
+    os.environ[name] = value
     try:
         yield
     finally:
         if prev is None:
-            os.environ.pop("REPRO_CONTAIN", None)
+            os.environ.pop(name, None)
         else:
-            os.environ["REPRO_CONTAIN"] = prev
+            os.environ[name] = prev
+
+
+def _time_engine(run, *args) -> Tuple[float, CampaignResult, Dict[str, int]]:
+    """Time one engine campaign; also return its engine step counters."""
+    from ..trace.observe import CampaignObserver
+
+    obs = CampaignObserver()
+    secs, res = _time_campaign(run, *args, engine=True, observer=obs)
+    return secs, res, obs.engine_counts()
 
 
 def run_campaign_bench(
@@ -275,9 +306,9 @@ def run_campaign_bench(
         # containment overhead: the same engine campaign with the fault
         # containment sandbox off vs on (both warm — the run above
         # already primed decode caches and allocator pools)
-        with _contain_env("0"):
+        with _env("REPRO_CONTAIN", "0"):
             off_s, off_res = _time_campaign(run, *args, engine=True)
-        with _contain_env("1"):
+        with _env("REPRO_CONTAIN", "1"):
             on_s, on_res = _time_campaign(run, *args, engine=True)
         # dispatch tiers on the engine path: decoded vs generated code,
         # both warm (the first codegen run below builds and caches the
@@ -293,6 +324,12 @@ def run_campaign_bench(
             campaign_signature(on_res)
         codegen_identical = campaign_signature(dec_res) == \
             campaign_signature(cg_res)
+        # reconvergence early exit: the same warm engine campaign with
+        # the golden state ledger off vs on
+        with _env("REPRO_RECONVERGE", "0"):
+            rc_off_s, rc_off, off_eng = _time_engine(run, *args)
+        with _env("REPRO_RECONVERGE", "1"):
+            rc_on_s, rc_on, on_eng = _time_engine(run, *args)
         # raw tier throughput: one full golden run per tier, warm
         run_dec_s = _time_golden(built, layer, "decoded")
         run_cg_s = _time_golden(built, layer, "codegen")
@@ -338,6 +375,22 @@ def run_campaign_bench(
                 "run_speedup": run_dec_s / run_cg_s
                 if run_cg_s > 0 else float("inf"),
                 "results_identical": codegen_identical,
+            },
+            "reconvergence": {
+                "off_seconds": rc_off_s,
+                "on_seconds": rc_on_s,
+                "wall_ratio": rc_on_s / rc_off_s
+                if rc_off_s > 0 else float("inf"),
+                "off_replay_steps": off_eng["suffix_steps"],
+                "on_replay_steps": on_eng["suffix_steps"],
+                "step_ratio": on_eng["suffix_steps"]
+                / off_eng["suffix_steps"]
+                if off_eng["suffix_steps"] else 1.0,
+                "replays": on_eng["replays"],
+                "reconverged": on_eng["reconverged"],
+                "saved_steps": on_eng["reconverge_saved_steps"],
+                "results_identical": campaign_signature(rc_off)
+                == campaign_signature(rc_on),
             },
             "incremental": {
                 "sections": len(inc_cold.sections),
@@ -408,6 +461,11 @@ def run_campaign_bench(
         d["codegen"]["run_decoded_seconds"] for d in layers.values())
     run_cg_total = sum(
         d["codegen"]["run_codegen_seconds"] for d in layers.values())
+    rc = [d["reconvergence"] for d in layers.values()]
+    rc_off_steps = sum(r["off_replay_steps"] for r in rc)
+    rc_on_steps = sum(r["on_replay_steps"] for r in rc)
+    rc_off_total = sum(r["off_seconds"] for r in rc)
+    rc_on_total = sum(r["on_seconds"] for r in rc)
     return {
         "schema": BENCH_SCHEMA,
         "params": {
@@ -450,6 +508,20 @@ def run_campaign_bench(
                 "results_identical": all(
                     d["codegen"]["results_identical"]
                     for d in layers.values()),
+            },
+            "reconvergence": {
+                "off_seconds": rc_off_total,
+                "on_seconds": rc_on_total,
+                "wall_ratio": rc_on_total / rc_off_total
+                if rc_off_total > 0 else float("inf"),
+                "off_replay_steps": rc_off_steps,
+                "on_replay_steps": rc_on_steps,
+                "step_ratio": rc_on_steps / rc_off_steps
+                if rc_off_steps else 1.0,
+                "reconverged": sum(r["reconverged"] for r in rc),
+                "replays": sum(r["replays"] for r in rc),
+                "results_identical": all(
+                    r["results_identical"] for r in rc),
             },
             "incremental": {
                 "cold_seconds": inc_cold_total,
@@ -542,6 +614,22 @@ def render_bench(doc: Dict) -> str:
         f"{oi['warm_speedup_vs_engine']:11.1f}x "
         f"{'0' if oi['warm_pure_hits'] else '!':>8s}"
     )
+    if "reconvergence" in o:
+        lines.append("reconvergence early exit (engine campaigns, golden "
+                     "state ledger off vs on):")
+        lines.append(
+            f"{'layer':6s} {'off':>9s} {'on':>9s} {'wall':>6s} "
+            f"{'replay-steps':>21s} {'steps':>6s} {'early':>7s} "
+            f"{'identical':>9s}")
+        for layer, r in [*doc["layers"].items(), ("all", None)]:
+            r = o["reconvergence"] if r is None else r["reconvergence"]
+            lines.append(
+                f"{layer:6s} {r['off_seconds']:8.3f}s {r['on_seconds']:8.3f}s "
+                f"{r['wall_ratio']:5.2f}x "
+                f"{r['off_replay_steps']:>10d}>{r['on_replay_steps']:<10d} "
+                f"{r['step_ratio']:5.2f}x "
+                f"{r['reconverged']:>3d}/{r['replays']:<3d} "
+                f"{str(r['results_identical']):>9s}")
     pr = doc.get("pruning")
     if pr:
         st, pu = pr["stratified"], pr["prune"]

@@ -51,6 +51,13 @@ def _phase(observer, name: str, **fields):
     return observer.phase(name, **fields)
 
 
+def _record_engine(observer, layer: str, stats: Dict[str, int]) -> None:
+    """Report the engine's step accounting (replays, reconverged
+    replays and the suffix steps they skipped) to the observer."""
+    if observer is not None and stats:
+        observer.engine(stats, layer=layer)
+
+
 def _record_outcomes(observer, layer: str,
                      counts: Dict[Outcome, int]) -> None:
     if observer is not None:
@@ -311,6 +318,7 @@ def run_ir_campaign(
                 naive_steps += res.dyn_total
                 emit(i, res)
     records = [by_tag[i] for i in range(len(pairs))]
+    _record_engine(observer, "ir", engine_steps)
     _record_outcomes(observer, "ir", counts)
     return CampaignResult(
         layer="ir",
@@ -432,6 +440,7 @@ def run_asm_campaign(
                 naive_steps += res.dyn_total
                 emit(i, res)
     records = [by_tag[i] for i in range(len(pairs))]
+    _record_engine(observer, "asm", engine_steps)
     _record_outcomes(observer, "asm", counts)
     return CampaignResult(
         layer="asm",

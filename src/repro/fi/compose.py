@@ -58,14 +58,15 @@ import os
 import socket
 import time
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import CampaignError, StoreLockTimeout
-from .campaign import CampaignConfig, _phase, _record_outcomes
+from .campaign import (
+    CampaignConfig, _phase, _record_engine, _record_outcomes,
+)
 from .engine import engine_dispatch, run_injection_suite
 from .journal import (
     FileLock,
@@ -974,10 +975,6 @@ class ComposedResult:
 # site-map memoization (the warm-path enabler)
 # ---------------------------------------------------------------------------
 
-_SITE_MAPS: "weakref.WeakKeyDictionary[object, Dict]" = \
-    weakref.WeakKeyDictionary()
-
-
 def _module_fingerprint(module) -> Tuple[int, int]:
     n = 0
     h = 0
@@ -995,14 +992,16 @@ def cached_site_map(built, layer: str, fault_model: str) -> SiteMap:
     Keyed by the module object plus the same cheap structural
     fingerprint the decode caches use, so in-place pass mutation
     re-enumerates while repeated plan evaluation over one build (the
-    warm path) pays the traced golden run exactly once.
+    warm path) pays the traced golden run exactly once.  The memo lives
+    on the module object (a site map references the build, so a
+    module-keyed weak dictionary would keep every mapped build alive).
     """
     module = built.module
     fp = _module_fingerprint(module)
-    per_module = _SITE_MAPS.get(module)
+    per_module = getattr(module, "_site_maps", None)
     if per_module is None:
         per_module = {}
-        _SITE_MAPS[module] = per_module
+        module._site_maps = per_module
     cached = per_module.get((layer, fault_model))
     if cached is not None and cached[0] == fp:
         return cached[1]
@@ -1283,6 +1282,7 @@ def run_incremental_campaign(
                                          i, row)
                     live_rows[pos][i] = row
 
+                engine_steps: Dict[str, int] = {}
                 run_injection_suite(
                     layer,
                     flat,
@@ -1293,7 +1293,9 @@ def run_incremental_campaign(
                     emit=emit,
                     dispatch=tier,
                     fault_model=fm,
+                    stats=engine_steps,
                 )
+                _record_engine(observer, layer, engine_steps)
 
     def finalize_section(sec) -> None:
         """Aggregate one executed section's rows and commit its profile."""

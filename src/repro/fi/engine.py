@@ -24,9 +24,20 @@ is bit-identical to the corresponding full run, and campaign results
 are bit-identical to the naive path (asserted by
 ``tests/test_engine_equivalence.py``).
 
-The engine holds one snapshot at a time: replays for an index happen
-inside the checkpoint callback, before the golden pass moves on, so
-peak memory is one machine image regardless of campaign size.
+Reconvergence early exit (default on, ``REPRO_RECONVERGE=0`` or
+``reconverge=False`` disables; DESIGN §18): the golden pass also
+records a :class:`~repro.fi.ledger.GoldenLedger` — full snapshots on a
+sparse grid of injectable indices, memory held as shared page versions
+— and runs to the end of the trace.  The snapshots at the drawn targets
+share those pages and are held until the pass completes; then every
+replay runs against the finished ledger and stops at the first grid
+point where its complete state equals golden's.  Ledger and held
+targets together stay under a fixed byte budget: the grid thins past
+it, and targets that no longer fit are streamed by a second golden pass
+that replays inside its checkpoint callback, one snapshot at a time.
+With reconvergence off the engine holds one snapshot at a time, as
+before: replays for an index run inside the checkpoint callback, before
+the golden pass moves on.
 
 ``REPRO_ENGINE=0`` disables the engine globally (campaigns fall back to
 the naive re-execution path with naive dispatch — the exact pre-engine
@@ -41,12 +52,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..contain import host_escape_result
 from ..errors import CampaignError
-from ..execresult import ExecResult
+from ..execresult import ExecResult, RunStatus
 from ..faultmodel import validate_fault_model
 from ..interp.interpreter import IRInterpreter
 from ..interp.layout import GlobalLayout
 from ..ir.module import Module
 from ..machine.machine import AsmMachine, CompiledProgram
+from .ledger import GoldenLedger, LedgerConfig, reconverge_enabled
 
 __all__ = ["engine_dispatch", "engine_enabled", "run_injection_suite"]
 
@@ -93,6 +105,8 @@ def run_injection_suite(
     dispatch: Optional[str] = None,
     fault_model: Optional[str] = None,
     stats: Optional[Dict[str, int]] = None,
+    reconverge: Optional[bool] = None,
+    ledger_config: Optional[LedgerConfig] = None,
 ) -> None:
     """Run every ``(tag, dyn_index, bit)`` injection with checkpoint-replay.
 
@@ -109,13 +123,23 @@ def run_injection_suite(
     (default SEU) selects what the injection corrupts — the simulators
     watch/checkpoint at that model's injectable sites.
 
+    ``reconverge`` (``None`` defers to ``REPRO_RECONVERGE``, default on)
+    records a golden state ledger (:mod:`repro.fi.ledger`, sized by
+    ``ledger_config``) during the golden pass and ends each replay at
+    its first exact match with it.  Such a replay reports status OK,
+    the golden output, its own injection metadata,
+    ``extra["reconverged"]`` (the grid index) and the step it stopped
+    at as ``dyn_total``.
+
     ``stats``, when given, accumulates the engine's simulated-step
-    accounting in place: ``golden_steps`` (the shared checkpointing
-    pass), ``suffix_steps`` (dynamic steps actually re-executed across
-    every replay — a resumed run's ``dyn_total`` is full-run-equivalent,
-    so the suffix is its total minus the snapshot's step counter) and
-    ``replays``.  This is the denominator behind the pruning benchmark's
-    "fewer simulated steps" claim (:mod:`repro.fi.prune`).
+    accounting in place: ``golden_steps`` (the checkpointing passes),
+    ``suffix_steps`` (dynamic steps actually re-executed across every
+    replay — a resumed run's ``dyn_total`` is full-run-equivalent, so
+    the suffix is its total minus the snapshot's step counter),
+    ``replays``, ``reconverged`` (replays ended early) and
+    ``reconverge_saved_steps`` (the suffix steps those replays skipped).
+    This is the denominator behind the pruning benchmark's "fewer
+    simulated steps" claim (:mod:`repro.fi.prune`).
     """
     tier = engine_dispatch(dispatch)
     fm = validate_fault_model(fault_model)
@@ -145,10 +169,12 @@ def run_injection_suite(
     # allocation cost on short traces.
     replay_sim = fresh()
 
-    def account(suffix: int) -> None:
+    def count(key: str, n: int) -> None:
         if stats is not None:
-            stats["suffix_steps"] = stats.get("suffix_steps", 0) + suffix
-            stats["replays"] = stats.get("replays", 0) + 1
+            stats[key] = stats.get(key, 0) + n
+
+    ledger: Optional[GoldenLedger] = None
+    golden_total = 0
 
     def replay(idx: int, snap) -> None:
         # IRSnapshot carries ``dyn_total``, AsmSnapshot ``steps`` — both
@@ -159,7 +185,8 @@ def run_injection_suite(
         for tag, bit in by_idx[idx]:
             try:
                 res = replay_sim.run(
-                    inject_index=idx, inject_bit=bit, resume_from=snap
+                    inject_index=idx, inject_bit=bit, resume_from=snap,
+                    ledger=ledger,
                 )
             except (MemoryError, RecursionError) as exc:
                 # resource exhaustion outside the simulator's own
@@ -167,14 +194,54 @@ def run_injection_suite(
                 # classify this one injection as a trap instead of
                 # letting the worker die and burn split-retry budget
                 res = host_escape_result(exc, layer=layer)
-            account(max(0, res.dyn_total - prefix))
+            count("suffix_steps", max(0, res.dyn_total - prefix))
+            count("replays", 1)
+            if "reconverged" in res.extra:
+                count("reconverged", 1)
+                count("reconverge_saved_steps",
+                      golden_total - res.dyn_total)
             emit(tag, res)
         done.add(idx)
 
-    golden = fresh().run(checkpoints=targets, checkpoint_cb=replay)
-    if stats is not None:
-        stats["golden_steps"] = (
-            stats.get("golden_steps", 0) + golden.dyn_total)
+    if reconverge_enabled(reconverge):
+        # lazy: repro.analysis imports the campaign layer
+        from ..analysis.bitlive import IRLiveTemps
+
+        ledger = GoldenLedger(targets, ledger_config or LedgerConfig(),
+                              live=IRLiveTemps() if layer == "ir" else None)
+        pending: List[Tuple[int, object]] = []
+
+        def record(idx: int, snap) -> None:
+            if ledger.admit(idx, snap, idx in by_idx):
+                pending.append((idx, snap))
+
+        # the golden pass records the ledger to the end of the trace;
+        # replays run once it is complete
+        golden_sim = fresh()
+        golden = golden_sim.run(checkpoints=ledger.watch(targets),
+                                checkpoint_cb=record, pages=ledger.store)
+        count("golden_steps", golden.dyn_total)
+        if golden.status is RunStatus.OK:
+            golden_total = golden.dyn_total
+            ledger.finish(golden.output, golden.return_value)
+        else:  # pragma: no cover - callers hand over clean programs
+            ledger = None
+        held = {i for i, _ in pending}
+        deferred = [t for t in targets
+                    if t not in held and t < golden.dyn_injectable]
+        if ledger is not None:
+            ledger.held.clear()
+        pending.reverse()
+        while pending:
+            replay(*pending.pop())
+        if deferred:
+            # targets past the held-snapshot budget: stream them again,
+            # one snapshot at a time, against the finished ledger
+            again = fresh().run(checkpoints=deferred, checkpoint_cb=replay)
+            count("golden_steps", again.dyn_total)
+    else:
+        golden = fresh().run(checkpoints=targets, checkpoint_cb=replay)
+        count("golden_steps", golden.dyn_total)
     for idx in targets:
         if idx not in done:  # pragma: no cover - defensive
             for tag, bit in by_idx[idx]:
@@ -182,5 +249,6 @@ def run_injection_suite(
                     res = fresh().run(inject_index=idx, inject_bit=bit)
                 except (MemoryError, RecursionError) as exc:
                     res = host_escape_result(exc, layer=layer)
-                account(res.dyn_total)
+                count("suffix_steps", res.dyn_total)
+                count("replays", 1)
                 emit(tag, res)

@@ -49,6 +49,7 @@ from .campaign import (
     CampaignResult,
     InjectionRecord,
     _phase,
+    _record_engine,
     _record_outcomes,
 )
 from .engine import engine_dispatch, engine_enabled, run_injection_suite
@@ -524,6 +525,7 @@ def run_stratified_campaign(
         )
         for name, w in zip(names, weights)
     ]
+    _record_engine(observer, layer, engine_steps)
     _record_outcomes(observer, layer, counts)
     return StratifiedResult(
         layer=layer,

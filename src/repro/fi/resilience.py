@@ -263,7 +263,8 @@ def pruned_row(layer: str, idx: int, bit: int, golden_output: str,
 def _execute_chunk(built, layer: str,
                    samples: List[Tuple[int, int, int]], max_steps: int,
                    emit: Callable[[int, Tuple], None],
-                   fault_model: str = "seu") -> None:
+                   fault_model: str = "seu",
+                   stats: Optional[Dict[str, int]] = None) -> None:
     """Run one chunk of ``(original_index, idx, bit)`` samples.
 
     Routes through the checkpoint-replay engine when enabled (the
@@ -271,7 +272,8 @@ def _execute_chunk(built, layer: str,
     naive per-sample re-execution otherwise.  ``emit(orig, row)`` fires
     once per sample as soon as its row is classified, so callers can
     stream partial progress (journal writes, pipe sends) even if the
-    process dies mid-chunk.
+    process dies mid-chunk.  ``stats`` accumulates the engine's step
+    accounting (see :func:`repro.fi.engine.run_injection_suite`).
     """
     if engine_enabled():
         def engine_emit(tag, res):
@@ -287,6 +289,7 @@ def _execute_chunk(built, layer: str,
             program=getattr(built, "compiled", None),
             emit=engine_emit,
             fault_model=fault_model,
+            stats=stats,
         )
         return
     for orig, idx, bit in samples:
@@ -506,6 +509,8 @@ class _Running:
     secs: Optional[float] = None
     finished: bool = False
     error: Optional[str] = None
+    #: the worker's engine step accounting
+    stats: Optional[Dict[str, int]] = None
 
 
 def _consume_test_fault(env_var: str) -> bool:
@@ -540,10 +545,11 @@ def _chunk_worker(conn, spec: WorkSpec,
         _test_fault_hook()
         t0 = time.perf_counter()
         built = _build_from_spec(spec)
+        stats: Dict[str, int] = {}
         _execute_chunk(built, spec.layer, samples, max_steps,
                        lambda orig, row: conn.send(("row", orig, row)),
-                       fault_model=spec.fault_model)
-        conn.send(("done", time.perf_counter() - t0))
+                       fault_model=spec.fault_model, stats=stats)
+        conn.send(("done", time.perf_counter() - t0, stats))
     except Exception as exc:                      # noqa: BLE001
         # surface the failure to the supervisor; it decides on retries
         try:
@@ -604,11 +610,14 @@ def run_supervised(
             built = _build_from_spec(spec)
         t0 = time.perf_counter()
         remaining = [s for s in todo if s[0] not in results]
+        stats: Dict[str, int] = {}
         _execute_chunk(built, spec.layer, remaining, max_steps, commit,
-                       fault_model=spec.fault_model)
+                       fault_model=spec.fault_model, stats=stats)
         if observer is not None:
             observer.worker(0, len(todo), time.perf_counter() - t0,
                             layer=spec.layer, mode="serial")
+            if stats:
+                observer.engine(stats, layer=spec.layer)
 
     if workers <= 1:
         run_serially(samples)
@@ -713,6 +722,7 @@ def run_supervised(
                         elif msg[0] == "done":
                             r.finished = True
                             r.secs = msg[1]
+                            r.stats = msg[2]
                         elif msg[0] == "error":
                             r.error = msg[1]
                 except (EOFError, OSError):
@@ -722,6 +732,8 @@ def run_supervised(
                     if observer is not None:
                         observer.worker(r.chunk.id, len(r.chunk.samples),
                                         r.secs or 0.0, layer=spec.layer)
+                        if r.stats:
+                            observer.engine(r.stats, layer=spec.layer)
                 elif r.error is not None:
                     reap(r)
                     requeue(r, f"worker error: {r.error}")

@@ -26,6 +26,21 @@ tuples returned to the driver:
   run (and raises the budget trap at exactly the same step).
 * ``(1, rv)``   — ``ret``.
 * ``(2, dfn, args, ret_iid, flip_bit, after_bb)`` — call.
+* ``(4,)``      — the next reconvergence grid point lies ahead inside
+  the current chunk; the frame has been positioned (chunk start, or
+  right after the flip) for the driver's careful stepper, which
+  compares the state there.
+
+Reconvergence grid points (:mod:`repro.fi.ledger`) ride on the flip
+machinery at no cost to fast bodies: ``ev`` (``c[4]``) is the next
+*event* index — the flip target until the flip lands, then the next
+grid point (``c[5]`` holds the first one).  The slow-body test
+``inj <= ev < inj + M`` thus also catches a grid point inside a chunk,
+and the slow body bails at once when ``ev != tgt``.  Slow bodies write
+every temp to the frame dict, so after the flip a grid point among the
+chunk's later sites can bail mid-chunk.  Under the cf model (no slow
+bodies) a chunk ending in a br/condbr site checks ``inj == ev`` at its
+head instead.
 
 Each chunk is emitted twice: a *slow* body that updates ``dyn_total``/
 ``dyn_injectable`` per instruction and carries the flip hook at every
@@ -70,7 +85,6 @@ from __future__ import annotations
 
 import itertools
 import struct
-import weakref
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import FaultDetected, IRError, SimTrap
@@ -131,19 +145,16 @@ class CodegenModule:
         self.env = env
 
 
-_CACHE: "weakref.WeakKeyDictionary[Module, tuple]" = \
-    weakref.WeakKeyDictionary()
-
-
 def codegen_module(module: Module, layout: GlobalLayout,
                    fault_model: str = "seu") -> CodegenModule:
     """Generate (cached) specialized code for ``module``; regenerates if
     the module was mutated in place or the layout moved — same
     invalidation rule (and fingerprint) as :func:`decode_module`.  The
     cache keeps one generated module per fault model (the corruption
-    hooks are baked into the source)."""
+    hooks are baked into the source).  Cached on the module object, as
+    :func:`decode_module` is."""
     fp = _fingerprint(module)
-    cached = _CACHE.get(module)
+    cached = getattr(module, "_codegen_cache", None)
     if cached is not None:
         lay, cached_fp, by_model = cached
         if cached_fp == fp and (
@@ -155,7 +166,7 @@ def codegen_module(module: Module, layout: GlobalLayout,
                 by_model[fault_model] = gm
             return gm
     gm = _generate(module, layout, fault_model)
-    _CACHE[module] = (layout, fp, {fault_model: gm})
+    module._codegen_cache = (layout, fp, {fault_model: gm})
     return gm
 
 
@@ -207,6 +218,24 @@ class _Emitter(_Decoder):
         self.local: Set[int] = set()
         #: iids that must also live in the frame's temps dict
         self.escaping: Set[int] = set()
+        #: env names of (block, decoded code) per block
+        self._block_names: Dict[object, Tuple[str, str]] = {}
+        #: emitting a slow body: every temp also goes to the frame dict
+        self.spill = False
+        #: slow-body position: (block, index, sites later in the chunk)
+        self.site: Tuple[object, int, int] = (None, 0, 0)
+        self._dfn: Optional[DecodedFunction] = None
+
+    def block_names(self, block) -> Tuple[str, str]:
+        """Env names binding ``block`` and its decoded code list, for
+        positioning a frame (``fr.block``/``fr.code``)."""
+        names = self._block_names.get(block)
+        if names is None:
+            names = (f"_b{next(self.ng)}", f"_c{next(self.ng)}")
+            self.env[names[0]] = block
+            self.env[names[1]] = self._dfn.pairs[block][1]
+            self._block_names[block] = names
+        return names
 
     def injectable(self, inst: Instruction) -> bool:
         """True iff the decoded loop allocates an injection index for
@@ -267,7 +296,7 @@ class _Emitter(_Decoder):
     def assign(self, sb: SourceBuilder, iid: int, expr: str) -> None:
         sb.line(f"t{iid} = {expr}")
         self.local.add(iid)
-        if iid in self.escaping:
+        if self.spill or iid in self.escaping:
             sb.line(f"t[{iid}] = t{iid}")
 
     def emit_value(self, sb: SourceBuilder, inst: Instruction,
@@ -280,9 +309,21 @@ class _Emitter(_Decoder):
                     f"{self.ty_name(inst.type)}, bit)")
             sb.line("ip.injected = True")
             sb.line(f"ip.injected_iid = {iid}")
+            sb.line("ev = c[4] = c[5]")
+            block, i, later = self.site
+            if self.spill and later:
+                # the first grid point sits among this chunk's later
+                # sites: compare there before running on
+                bname, cname = self.block_names(block)
+                with sb.block(f"if ev <= inj + {later}:"):
+                    sb.line("inj += 1")
+                    sb.line(f"t[{iid}] = t{iid}")
+                    sb.line(f"fr.block = {bname}; fr.code = {cname}; "
+                            f"fr.index = {i + 1}")
+                    sb.line("return (4,)")
         sb.line("inj += 1")
         self.local.add(iid)
-        if iid in self.escaping:
+        if self.spill or iid in self.escaping:
             sb.line(f"t[{iid}] = t{iid}")
 
     def emit_call(self, sb: SourceBuilder, inst: Instruction, fn: Function,
@@ -327,8 +368,11 @@ class _Emitter(_Decoder):
             with sb.block("if inj == tgt:"):
                 sb.line("fb = bit")
                 sb.line(f"ip.injected_iid = {inst.iid}")
+                sb.line("ev = c[4] = c[5]")
             sb.line("inj += 1")
-        sb.line(f"fr.index = {i + 1}")
+        bname, cname = self.block_names(block)
+        sb.line(f"fr.block = {bname}; fr.code = {cname}; "
+                f"fr.index = {i + 1}")
         after = entry_bb[(block, i + 1)]
         ret_iid = inst.iid if has_result else "None"
         fb = "fb" if has_result else "None"
@@ -510,7 +554,9 @@ class _Emitter(_Decoder):
         has_result = not inst.type.is_void
         if has_result and not self.cf:
             sb.line("inj += 1")
-        sb.line(f"fr.index = {i + 1}")
+        bname, cname = self.block_names(block)
+        sb.line(f"fr.block = {bname}; fr.code = {cname}; "
+                f"fr.index = {i + 1}")
         after = entry_bb[(block, i + 1)]
         ret_iid = inst.iid if has_result else "None"
         sb.line(f"return (2, {self.dfn_names[callee]}, _a, "
@@ -565,6 +611,7 @@ class _Emitter(_Decoder):
                     f"'from': {block.label!r}, 'iid': {inst.iid}, "
                     f"'to': {normal_label}, "
                     f"'redirect': {lname}[bit % {nb}]}}")
+            sb.line("ev = c[4] = c[5]")
             sb.line(f"bb = {tname}[bit % {nb}]")
             sb.line("continue")
         sb.line("inj += 1")
@@ -578,6 +625,7 @@ class _Emitter(_Decoder):
 
     def emit_function(self, sb: SourceBuilder, fn: Function,
                       dfn: DecodedFunction, gname: str):
+        self._dfn = dfn
         # chunk structure: blocks split after every real call site
         chunks: List[Tuple[object, int, int]] = []
         for block in fn.blocks:
@@ -624,7 +672,7 @@ class _Emitter(_Decoder):
                      "MSZ = mem.size",
                      "SL = mem.stack_limit", "ms = ip.max_steps",
                      "dt = c[0]", "inj = c[1]", "tgt = c[2]",
-                     "bit = c[3]"):
+                     "bit = c[3]", "ev = c[4]"):
             sb.line(line)
         sb.line("try:")
         sb.indent()
@@ -639,10 +687,7 @@ class _Emitter(_Decoder):
                 # budget precheck: bail to the decoded loop, which will
                 # raise the step-budget trap (or an earlier trap) at
                 # exactly the right instruction within this chunk
-                bname = f"_b{next(self.ng)}"
-                cname = f"_c{next(self.ng)}"
-                self.env[bname] = block
-                self.env[cname] = dfn.pairs[block][1]
+                bname, cname = self.block_names(block)
                 with sb.block(f"if dt + {n_entries} > ms:"):
                     sb.line(f"fr.block = {bname}; fr.code = {cname}; "
                             f"fr.index = {start}")
@@ -651,6 +696,13 @@ class _Emitter(_Decoder):
             tail_call = last is not None and _is_real_call(last)
             tail_term = (not tail_call and last is not None
                          and last.opcode in _TERMINATORS)
+            if self.cf and tail_term and last.opcode in ("br", "condbr"):
+                # the tail is a site: a grid point there is compared by
+                # the careful stepper from the chunk head
+                with sb.block("if inj == ev and ev != tgt:"):
+                    sb.line(f"fr.block = {bname}; fr.code = {cname}; "
+                            f"fr.index = {start}")
+                    sb.line("return (4,)")
             felloff = (f"fell off block {block.label} in @{fn.name}"
                        if not (tail_call or tail_term) else None)
             ninj = sum(1 for i in range(start, end)
@@ -658,11 +710,21 @@ class _Emitter(_Decoder):
             if ninj:
                 # slow body: per-instruction counters + flip sites,
                 # taken only when the flip lands inside this chunk
-                with sb.block(f"if inj <= tgt < inj + {ninj}:"):
+                with sb.block(f"if inj <= ev < inj + {ninj}:"):
+                    with sb.block("if ev != tgt:"):
+                        # a grid point, not the flip: compare it first
+                        sb.line(f"fr.block = {bname}; fr.code = {cname}; "
+                                f"fr.index = {start}")
+                        sb.line("return (4,)")
                     self.local = set()
+                    self.spill = True
                     for i in range(start, end):
+                        self.site = (block, i, sum(
+                            1 for j in range(i + 1, end)
+                            if self.injectable(insts[j])))
                         self.emit_inst(sb, insts[i], fn, block, i,
                                        entry_bb)
+                    self.spill = False
                     if felloff is not None:
                         sb.line(f"raise _IRError({felloff!r})")
             # fast body: coalesced counters, raise sites fixed up via

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import struct
-import weakref
 from typing import Callable, Dict, List, Tuple
 
 from ..errors import FaultDetected, IRError, SimTrap
@@ -115,10 +114,6 @@ class DecodedModule:
         self.max_iid = max_iid
 
 
-_CACHE: "weakref.WeakKeyDictionary[Module, tuple]" = \
-    weakref.WeakKeyDictionary()
-
-
 def _fingerprint(module: Module) -> Tuple[int, int]:
     """Cheap structural fingerprint, sensitive to pass-applied mutation.
 
@@ -140,9 +135,14 @@ def _fingerprint(module: Module) -> Tuple[int, int]:
 
 def decode_module(module: Module, layout: GlobalLayout) -> DecodedModule:
     """Decode ``module`` (cached; re-decodes if the module was mutated
-    in place by a pass or the layout moved)."""
+    in place by a pass or the layout moved).
+
+    The cache lives on the module object itself, like the asm decode
+    cache on its program: the decoded module references the module, so
+    a module-keyed weak dictionary would keep every decoded module alive
+    through its own value."""
     fp = _fingerprint(module)
-    cached = _CACHE.get(module)
+    cached = getattr(module, "_decode_cache", None)
     if cached is not None:
         lay, cached_fp, dm = cached
         if cached_fp == fp and (
@@ -150,7 +150,7 @@ def decode_module(module: Module, layout: GlobalLayout) -> DecodedModule:
         ):
             return dm
     dm = _decode(module, layout)
-    _CACHE[module] = (layout, fp, dm)
+    module._decode_cache = (layout, fp, dm)
     return dm
 
 

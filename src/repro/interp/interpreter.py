@@ -39,7 +39,9 @@ from ..contain import (
     OutputBuffer,
     containment_enabled,
 )
-from ..errors import CheckpointsDone, FaultDetected, IRError, SimTrap
+from ..errors import (
+    NO_POINT, CheckpointsDone, FaultDetected, IRError, Reconverged, SimTrap,
+)
 from ..execresult import ExecResult, RunStatus
 from ..faultmodel import validate_fault_model
 from ..ir import types as T
@@ -70,7 +72,7 @@ from ..ir.intrinsics import (
 )
 from ..ir.module import BasicBlock, Function, Module
 from ..ir.values import Argument, Constant, GlobalVariable, Value
-from ..memorymodel import Memory
+from ..memorymodel import Memory, load_image
 from ..utils import bits
 from ..utils.fmt import format_char, format_f64, format_i64
 from .layout import GlobalLayout
@@ -121,7 +123,7 @@ class IRSnapshot:
 
     def __init__(self, mem, heap_break, sp, outputs, dyn_total,
                  dyn_injectable, frames):
-        self.mem = mem                      # bytes copy of memory image
+        self.mem = mem                      # bytes or PagedImage
         self.heap_break = heap_break
         self.sp = sp
         self.outputs = outputs              # tuple of emitted strings
@@ -255,6 +257,8 @@ class IRInterpreter:
         resume_from: Optional[IRSnapshot] = None,
         checkpoints: Optional[Sequence[int]] = None,
         checkpoint_cb=None,
+        pages=None,
+        ledger=None,
     ) -> ExecResult:
         """Execute ``entry`` and classify the run.
 
@@ -268,9 +272,17 @@ class IRInterpreter:
         the step that allocates each one, ``checkpoint_cb(index,
         snapshot)`` receives an :class:`IRSnapshot`.  After the last
         snapshot the run stops early (status OK,
-        ``extra["early_stop"]``).  ``resume_from`` restores a snapshot
-        and executes only the suffix.
+        ``extra["early_stop"]``).  ``pages`` (a
+        :class:`~repro.memorymodel.PageStore`) captures snapshot memory
+        as shared page versions.  ``resume_from`` restores a snapshot
+        and executes only the suffix.  ``ledger`` (a
+        :class:`repro.fi.ledger.GoldenLedger`) ends an injected run at
+        its first grid point past ``inject_index`` whose state equals
+        golden's: status OK, the golden output and return value,
+        ``extra["reconverged"]``.
         """
+        if ledger is not None and inject_index is None:
+            ledger = None
         self.inject_index = inject_index
         self.inject_bit = inject_bit
         self._cf_edge = None
@@ -278,12 +290,14 @@ class IRInterpreter:
             self._counts = [0] * (self._iid_bound() + 1)
         fn = self.module.function(entry)
         early = False
+        reconverged = None
         escape = None
         self._armed = False
         try:
             if self.dispatch == "decoded":
                 ret = self._execute_decoded(
-                    fn, list(args), resume_from, checkpoints, checkpoint_cb
+                    fn, list(args), resume_from, checkpoints, checkpoint_cb,
+                    pages, ledger
                 )
             elif self.dispatch == "codegen":
                 # snapshots, profiling and trace taps run the decoded
@@ -294,12 +308,14 @@ class IRInterpreter:
                         or self.tracer is not None):
                     ret = self._execute_decoded(
                         fn, list(args), resume_from, checkpoints,
-                        checkpoint_cb
+                        checkpoint_cb, pages, ledger
                     )
                 else:
-                    ret = self._execute_codegen(fn, list(args), resume_from)
+                    ret = self._execute_codegen(fn, list(args), resume_from,
+                                                ledger)
             else:
-                if resume_from is not None or checkpoints is not None:
+                if (resume_from is not None or checkpoints is not None
+                        or ledger is not None):
                     raise IRError(
                         "checkpoint-replay requires dispatch='decoded'")
                 ret = self._execute(fn, list(args))
@@ -307,6 +323,9 @@ class IRInterpreter:
         except CheckpointsDone:
             ret, status, trap = None, RunStatus.OK, None
             early = True
+        except Reconverged as r:
+            ret, status, trap = ledger.golden_return, RunStatus.OK, None
+            reconverged = r.index
         except FaultDetected:
             ret, status, trap = None, RunStatus.DETECTED, None
         except SimTrap as t:
@@ -338,9 +357,12 @@ class IRInterpreter:
             extra["host_escape"] = escape
         if self._cf_edge is not None:
             extra["cf_edge"] = self._cf_edge
+        if reconverged is not None:
+            extra["reconverged"] = reconverged
         return ExecResult(
             status=status,
-            output="".join(self.outputs),
+            output=("".join(self.outputs) if reconverged is None
+                    else ledger.golden_output),
             dyn_total=self.dyn_total,
             dyn_injectable=self.dyn_injectable,
             trap_kind=trap,
@@ -480,7 +502,7 @@ class IRInterpreter:
                          args: List[Union[int, float]],
                          resume_from: Optional[IRSnapshot] = None,
                          checkpoints: Optional[Sequence[int]] = None,
-                         checkpoint_cb=None):
+                         checkpoint_cb=None, pages=None, ledger=None):
         from .decode import decode_module
 
         dm = decode_module(self.module, self.layout)
@@ -497,7 +519,7 @@ class IRInterpreter:
             if len(snap.mem) != len(mem.data):
                 raise IRError("snapshot does not match interpreter memory "
                               "geometry")
-            mem.data[:] = snap.mem
+            load_image(mem.data, snap.mem)
             mem.heap_break = snap.heap_break
             self.sp = snap.sp
             self.outputs[:] = snap.outputs
@@ -515,19 +537,24 @@ class IRInterpreter:
             frame = frames.pop()
             stack = frames
         self._armed = True
+        if ledger is not None:
+            checkpoints = ledger.points_after(self.inject_index)
         if self.fault_model == "cf":
             return self._run_decoded_cf(frame, stack, checkpoints,
-                                        checkpoint_cb)
-        return self._run_decoded(frame, stack, checkpoints, checkpoint_cb)
+                                        checkpoint_cb, pages, ledger)
+        return self._run_decoded(frame, stack, checkpoints, checkpoint_cb,
+                                 pages, ledger)
 
     def _run_decoded(self, frame: _Frame, stack: List[_Frame],
                      watch: Optional[Sequence[int]] = None,
-                     watch_cb=None):
+                     watch_cb=None, pages=None, ledger=None):
         """The pre-decoded dispatch loop.
 
         Entries are ``(kind, payload, iid, inst)`` tuples (see
         :mod:`repro.interp.decode`); kinds 0 and 1 allocate injectable
-        dynamic indices exactly as the naive loop does.
+        dynamic indices exactly as the naive loop does.  ``watch``
+        streams checkpoint indices for ``watch_cb`` or, with a
+        ``ledger``, the grid points compared for reconvergence.
         """
         stack_limit = self.memory.stack_limit
         max_call_depth = self.max_call_depth
@@ -559,9 +586,14 @@ class IRInterpreter:
                     frame.index = i
                     self.dyn_total = dt
                     self.dyn_injectable = inj
-                    watch_cb(next_watch, self._snapshot(stack, frame))
+                    if ledger is not None:
+                        if ledger.match_ir(next_watch, self, stack, frame):
+                            raise Reconverged(next_watch)
+                    else:
+                        watch_cb(next_watch,
+                                 self._snapshot(stack, frame, pages))
                     next_watch = next(watch_iter, None)
-                    if next_watch is None:
+                    if next_watch is None and ledger is None:
                         raise CheckpointsDone()
 
                 i += 1
@@ -667,7 +699,7 @@ class IRInterpreter:
 
     def _run_decoded_cf(self, frame: _Frame, stack: List[_Frame],
                         watch: Optional[Sequence[int]] = None,
-                        watch_cb=None):
+                        watch_cb=None, pages=None, ledger=None):
         """Pre-decoded dispatch loop under the control-flow fault model.
 
         A dedicated sibling of :meth:`_run_decoded` so the SEU/SET hot
@@ -705,9 +737,14 @@ class IRInterpreter:
                     frame.index = i
                     self.dyn_total = dt
                     self.dyn_injectable = inj
-                    watch_cb(next_watch, self._snapshot(stack, frame))
+                    if ledger is not None:
+                        if ledger.match_ir(next_watch, self, stack, frame):
+                            raise Reconverged(next_watch)
+                    else:
+                        watch_cb(next_watch,
+                                 self._snapshot(stack, frame, pages))
                     next_watch = next(watch_iter, None)
-                    if next_watch is None:
+                    if next_watch is None and ledger is None:
                         raise CheckpointsDone()
 
                 i += 1
@@ -813,7 +850,8 @@ class IRInterpreter:
 
     def _execute_codegen(self, entry_fn: Function,
                          args: List[Union[int, float]],
-                         resume_from: Optional[IRSnapshot] = None):
+                         resume_from: Optional[IRSnapshot] = None,
+                         ledger=None):
         from .codegen import codegen_module
 
         gm = codegen_module(self.module, self.layout, self.fault_model)
@@ -833,7 +871,7 @@ class IRInterpreter:
             if len(snap.mem) != len(mem.data):
                 raise IRError("snapshot does not match interpreter memory "
                               "geometry")
-            mem.data[:] = snap.mem
+            load_image(mem.data, snap.mem)
             mem.heap_break = snap.heap_break
             self.sp = snap.sp
             self.outputs[:] = snap.outputs
@@ -863,21 +901,26 @@ class IRInterpreter:
             else:
                 bb = entry
         self._armed = True
-        return self._run_codegen(gm, frame, stack, bbs, bb, careful)
+        return self._run_codegen(gm, frame, stack, bbs, bb, careful, ledger)
 
     def _run_codegen(self, gm, frame: _Frame, stack: List[_Frame],
-                     bbs: List[int], bb: int, careful: bool):
+                     bbs: List[int], bb: int, careful: bool, ledger=None):
         """Trampoline driver for generated code.
 
         Generated functions execute whole chunks and return action
         tuples (see :mod:`repro.interp.codegen`); this loop handles the
         frame pushes/pops (with the decoded loop's exact depth and
-        stack-overflow semantics), return-value flips, and the fallback
-        onto the decoded loop when the step budget is about to expire.
+        stack-overflow semantics), return-value flips, the careful
+        stretch up to a ``ledger`` grid point, and the fallback onto the
+        decoded loop when the step budget is about to expire.
         """
-        c = [self.dyn_total, self.dyn_injectable,
-             self.inject_index if self.inject_index is not None else -1,
-             self.inject_bit]
+        target = self.inject_index if self.inject_index is not None else -1
+        # counter carrier shared with the generated code and the careful
+        # steppers: [dyn_total, injectable, target, bit, next event (the
+        # target, then grid points), first grid point]
+        c = [self.dyn_total, self.dyn_injectable, target, self.inject_bit,
+             target,
+             ledger.next_after(target) if ledger is not None else NO_POINT]
         stack_limit = self.memory.stack_limit
         max_call_depth = self.max_call_depth
         fns = gm.functions
@@ -888,12 +931,16 @@ class IRInterpreter:
         decoded_loop = self._run_decoded_cf if cf_mode else \
             self._run_decoded
         try:
-            r = careful_step(frame, stack, c,
-                             fns[frame.fn]) if careful else None
+            r = careful_step(frame, stack, c, fns[frame.fn],
+                             ledger) if careful else None
             while True:
                 if r is None:
                     r = fns[frame.fn].run(self, frame, c, bb)
                 tag = r[0]
+                if tag == 4:        # grid point ahead in this chunk
+                    r = careful_step(frame, stack, c, fns[frame.fn],
+                                     ledger)
+                    continue
                 if tag == 1:        # ret
                     rv = r[1]
                     self.sp = frame.sp_save
@@ -935,7 +982,11 @@ class IRInterpreter:
                     self.dyn_total = c[0]
                     self.dyn_injectable = c[1]
                     try:
-                        return decoded_loop(frame, stack)
+                        return decoded_loop(
+                            frame, stack,
+                            None if ledger is None else
+                            ledger.points_after(max(target, c[1] - 1)),
+                            ledger=ledger)
                     finally:
                         c[0] = self.dyn_total
                         c[1] = self.dyn_injectable
@@ -951,13 +1002,15 @@ class IRInterpreter:
             self.dyn_injectable = c[1]
 
     def _careful_step(self, frame: _Frame, stack: List[_Frame], c,
-                      gf) -> tuple:
+                      gf, ledger=None) -> tuple:
         """Execute decoded entries of a mid-chunk frame until the next
         control transfer (which always lands on a chunk boundary),
-        mirroring ``_run_decoded``'s counter and injection semantics.
-        Returns a codegen driver action: ``(1, rv)``, ``(2, ...)`` or
-        ``(3,)`` after positioning ``frame`` at a block start."""
-        dt, inj, target, inject_bit = c
+        mirroring ``_run_decoded``'s counter and injection semantics and
+        comparing each ``ledger`` grid point reached (``c[4]`` once the
+        flip has landed).  Returns a codegen driver action: ``(1, rv)``,
+        ``(2, ...)`` or ``(3,)`` after positioning ``frame`` at a block
+        start."""
+        dt, inj, target, inject_bit, ev, _ = c
         max_steps = self.max_steps
         stack_limit = self.memory.stack_limit
         flip = _set_value if self.fault_model == "set" else _flip_value
@@ -967,6 +1020,13 @@ class IRInterpreter:
             while True:
                 e = code[i]
                 kind = e[0]
+                if kind <= 1 and inj == ev and ev != target:
+                    frame.index = i
+                    self.dyn_total = dt
+                    self.dyn_injectable = inj
+                    if ledger.match_ir(ev, self, stack, frame):
+                        raise Reconverged(ev)
+                    ev = c[4] = ledger.next_after(ev)
                 i += 1
                 dt += 1
                 if dt > max_steps:
@@ -978,6 +1038,7 @@ class IRInterpreter:
                         r = flip(r, e[3].type, inject_bit)
                         self.injected = True
                         self.injected_iid = e[2]
+                        ev = c[4] = c[5]
                     inj += 1
                     frame.temps[e[2]] = r
                 elif kind == 5:
@@ -1012,6 +1073,7 @@ class IRInterpreter:
                         if inj == target:
                             flip_bit = inject_bit
                             self.injected_iid = e[2]
+                            c[4] = c[5]
                         inj += 1
                     frame.index = i
                     return (2, p[1], call_args,
@@ -1030,11 +1092,11 @@ class IRInterpreter:
             c[1] = inj
 
     def _careful_step_cf(self, frame: _Frame, stack: List[_Frame], c,
-                         gf) -> tuple:
+                         gf, ledger=None) -> tuple:
         """Control-flow-model sibling of :meth:`_careful_step`:
         br/condbr are the injection sites (with redirect), value
         producers and calls allocate no indices."""
-        dt, inj, target, inject_bit = c
+        dt, inj, target, inject_bit, ev, _ = c
         max_steps = self.max_steps
         stack_limit = self.memory.stack_limit
         code = frame.code
@@ -1043,6 +1105,13 @@ class IRInterpreter:
             while True:
                 e = code[i]
                 kind = e[0]
+                if (kind == 5 or kind == 6) and inj == ev and ev != target:
+                    frame.index = i
+                    self.dyn_total = dt
+                    self.dyn_injectable = inj
+                    if ledger.match_ir(ev, self, stack, frame):
+                        raise Reconverged(ev)
+                    ev = c[4] = ledger.next_after(ev)
                 i += 1
                 dt += 1
                 if dt > max_steps:
@@ -1056,6 +1125,7 @@ class IRInterpreter:
                         pair = pairs[inject_bit % len(pairs)]
                         self._note_cf_edge(frame, e[3], e[1][0], pair[0])
                         frame.block, frame.code = pair
+                        c[4] = c[5]
                     else:
                         frame.block, frame.code = e[1]
                     inj += 1
@@ -1069,6 +1139,7 @@ class IRInterpreter:
                         pair = pairs[inject_bit % len(pairs)]
                         self._note_cf_edge(frame, e[3], normal[0], pair[0])
                         frame.block, frame.code = pair
+                        c[4] = c[5]
                     else:
                         frame.block, frame.code = normal
                     inj += 1
@@ -1107,14 +1178,16 @@ class IRInterpreter:
             c[0] = dt
             c[1] = inj
 
-    def _snapshot(self, stack: List[_Frame], frame: _Frame) -> IRSnapshot:
+    def _snapshot(self, stack: List[_Frame], frame: _Frame,
+                  pages=None) -> IRSnapshot:
         frames = tuple(
             (f.fn, f.block, f.code, f.index, dict(f.temps), f.sp_save,
              f.ret_target, f.ret_flip_bit, list(f.arg_values))
             for f in (*stack, frame)
         )
         return IRSnapshot(
-            mem=bytes(self.memory.data),
+            mem=(pages.capture(self.memory.data) if pages is not None
+                 else bytes(self.memory.data)),
             heap_break=self.memory.heap_break,
             sp=self.sp,
             outputs=tuple(self.outputs),

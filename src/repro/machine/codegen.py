@@ -36,7 +36,20 @@ The generated function returns action tuples to the driver loop in
              driver finishes the run on the decoded core, which owns
              the exact raise point;
 ``(1,)``     ``main`` returned through the sentinel (halt);
-``(2, pc)``  return address is not a leader — careful-step from ``pc``.
+``(2, pc)``  return address is not a leader — careful-step from ``pc``;
+``(3, pc)``  the next reconvergence grid point (see below) lies at or
+             after ``pc`` inside the current chunk — careful-step from
+             ``pc``, comparing at the point.
+
+Reconvergence grid points (:mod:`repro.fi.ledger`) ride on the flip
+machinery at no cost to fast bodies: ``ev`` (``c[4]``) is the next
+*event* index — the flip target until the flip lands, then the next
+grid point (``c[5]`` holds the first one).  The slow-body test
+``inj <= ev < inj + N`` thus also catches a grid point inside a chunk;
+the slow body then bails to the driver at once (``ev != tgt``).  After
+the flip, a grid point among the same chunk's later sites bails right
+there.  Under the cf model, whose chunks have no slow bodies, a chunk
+ending in a site checks ``inj == ev`` at its head instead.
 """
 
 from __future__ import annotations
@@ -44,7 +57,7 @@ from __future__ import annotations
 import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import FaultDetected, ReproError, SimTrap
+from ..errors import FaultDetected, Reconverged, ReproError, SimTrap
 from ..memorymodel import Memory
 from ..utils.fmt import format_char, format_f64, format_i64
 from ..simgen import SourceBuilder, compile_generated
@@ -523,13 +536,14 @@ class _Emitter:
         else:  # pragma: no cover - control uops handled by chunk tails
             raise ReproError(f"cannot generate code for uop {code}")
 
-    def emit_flip(self, sb: SourceBuilder, i: int) -> None:
+    def emit_flip(self, sb: SourceBuilder, i: int, body_end: int) -> None:
         """Slow-body armed-injection hook after uop ``i`` (mirrors the
         decoded loop; the XMM route goes through module attributes so
         monkeypatched flip helpers — the chaos bombs — stay visible)."""
         kind = self.inj_kind[i]
         burst = ("((1 << (bit & 63)) | (1 << ((bit + 1) & 63)))"
                  if self.set else "(1 << (bit & 63))")
+        later = sum(1 for j in range(i + 1, body_end) if self.inj_kind[j])
         with sb.block("if inj == tgt:"):
             sb.line("mc.injected = True")
             sb.line(f"mc.injected_index = {i}")
@@ -545,6 +559,13 @@ class _Emitter:
                 sb.line("fl ^= _FM[bit % 5]")
                 if self.set:
                     sb.line("fl ^= _FM[(bit + 1) % 5]")
+            sb.line("ev = c[4] = c[5]")
+            if later:
+                # the first grid point sits among this chunk's later
+                # sites: compare there before running on
+                with sb.block(f"if ev <= inj + {later}:"):
+                    sb.line("inj += 1")
+                    sb.line(f"return (3, {i + 1})")
         sb.line("inj += 1")
 
     def emit_cf_site(self, sb: SourceBuilder, i: int, to_expr: str) -> None:
@@ -560,6 +581,7 @@ class _Emitter:
             sb.line(f"_rd = bit % {n}")
             sb.line(f"mc._record_cf_edge({i}, {to_expr}, _rd)")
             sb.line("inj += 1")
+            sb.line("ev = c[4] = c[5]")
             sb.line("return (2, _rd)")
         sb.line("inj += 1")
 
@@ -663,8 +685,17 @@ class _Emitter:
             raise ReproError("control uop with injectable destination")
         with sb.block(f"if s + {span_len} > ms:"):
             sb.line(f"return (0, {L})")
+        if self.cf and kind == "ctl" \
+                and self.uops[end - 1][0] in (JMP, JCC, CALL):
+            # the tail is a site: a grid point there is compared by the
+            # careful stepper from the chunk head
+            with sb.block("if inj == ev and ev != tgt:"):
+                sb.line(f"return (3, {L})")
         if ninj:
-            with sb.block(f"if inj <= tgt < inj + {ninj}:"):
+            with sb.block(f"if inj <= ev < inj + {ninj}:"):
+                with sb.block("if ev != tgt:"):
+                    # a grid point, not the flip: compare it first
+                    sb.line(f"return (3, {L})")
                 for i in range(L, body_end):
                     sb.line("s += 1")
                     first = sb.next_lineno
@@ -674,7 +705,7 @@ class _Emitter:
                     # counters are already exact (offsets 0)
                     self._register(first, sb.next_lineno, 0, 0, i)
                     if inj_kind[i]:
-                        self.emit_flip(sb, i)
+                        self.emit_flip(sb, i, body_end)
                 if kind == "ctl":
                     sb.line("s += 1")
                 self.emit_tail(sb, chunks, leaders, L, end, kind)
@@ -696,7 +727,8 @@ class _Emitter:
         for pre in ("rg = st.regs", "xm = st.xmm", "md = st.data",
                     "out = st.outputs", "fl = st.fl", "dp = st.depth",
                     "mxd = st.max_depth", "ms = mc.max_steps",
-                    "s = c[0]", "inj = c[1]", "tgt = c[2]", "bit = c[3]"):
+                    "s = c[0]", "inj = c[1]", "tgt = c[2]", "bit = c[3]",
+                    "ev = c[4]"):
             sb.line(pre)
         sb.line("try:")
         sb.indent()
@@ -764,11 +796,16 @@ def _generate(program: CompiledProgram, mem: Memory,
 
 def careful_until_leader(mc, st, dp: DecodedProgram,
                          leaders: Dict[int, int], c: List[int],
-                         pc: int) -> int:
+                         pc: int, ledger=None, enter: bool = False) -> int:
     """Single-step decoded closures from a non-leader ``pc`` (reachable
     only via a corrupted return address) until execution re-joins a
     leader; mirrors the decoded driver loop exactly, including the
-    flip hooks and counter placement at every raise point."""
+    flip hooks and counter placement at every raise point.
+
+    Every ``ledger`` grid point reached (``c[4]`` once the flip has
+    landed) is compared and the cursor advanced, raising
+    :class:`Reconverged` on a match; ``enter=True`` starts at ``pc``
+    even when it is a leader (a chunk holding the next grid point)."""
     fns = dp.fns
     fm = mc.fault_model
     cf_fault = fm == "cf"
@@ -784,15 +821,23 @@ def careful_until_leader(mc, st, dp: DecodedProgram,
     injectable = c[1]
     target = c[2]
     inject_bit = c[3]
+    ev = c[4]
     try:
         while True:
-            if pc in leaders:
+            if pc in leaders and not enter:
                 return pc
+            enter = False
             try:
                 f = fns[pc]
             except IndexError:
                 raise SimTrap("bad-jump", f"pc={pc}") from None
             kind = inj_kind[pc]
+            if kind and injectable == ev and ev != target:
+                mc.dyn_total = steps
+                mc.dyn_injectable = injectable
+                if ledger.match_asm(ev, mc, st, pc, steps):
+                    raise Reconverged(ev)
+                ev = c[4] = ledger.next_after(ev)
             steps += 1
             if steps > max_steps:
                 raise SimTrap("step-budget",
@@ -806,6 +851,7 @@ def careful_until_leader(mc, st, dp: DecodedProgram,
                 if injectable == target:
                     mc.injected = True
                     mc.injected_index = cur
+                    ev = c[4] = c[5]
                     if cf_fault:
                         red = inject_bit % n_insts
                         mc._record_cf_edge(cur, pc, red)

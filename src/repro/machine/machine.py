@@ -42,13 +42,14 @@ from ..contain import (
     containment_enabled,
 )
 from ..errors import (
-    CheckpointsDone, FaultDetected, LoweringError, ReproError, SimTrap,
+    NO_POINT, CheckpointsDone, FaultDetected, LoweringError, Reconverged,
+    ReproError, SimTrap,
 )
 from ..execresult import ExecResult, RunStatus
 from ..faultmodel import validate_fault_model
 from ..interp.layout import GlobalLayout
 from ..ir.intrinsics import INTRINSICS, math_impl
-from ..memorymodel import Memory
+from ..memorymodel import Memory, load_image
 from ..utils.fmt import format_char, format_f64, format_i64
 from ..backend.isa import AsmInst, GPRS, Imm, Label, Mem, Reg
 from ..backend.program import FlatProgram
@@ -339,7 +340,9 @@ class AsmSnapshot:
     fault model flips the destination *after* execution, so a replay
     resumed from the snapshot re-executes the instruction and then
     applies the flip).  All fields are immutable so one snapshot can
-    seed any number of replays.
+    seed any number of replays.  ``mem`` is raw ``bytes`` or a
+    :class:`~repro.memorymodel.PagedImage` sharing pages with the other
+    snapshots of one golden pass.
     """
 
     __slots__ = ("mem", "heap_break", "regs", "xmm", "fl", "pc",
@@ -432,17 +435,37 @@ class AsmMachine:
         resume_from: Optional[AsmSnapshot] = None,
         checkpoints: Optional[Sequence[int]] = None,
         checkpoint_cb=None,
+        pages=None,
+        ledger=None,
     ) -> ExecResult:
+        """Execute the program and classify the run.
+
+        Checkpoint-replay (decoded/codegen dispatch): ``checkpoints`` is
+        an ascending stream of injectable indices at which
+        ``checkpoint_cb(index, snapshot)`` receives an
+        :class:`AsmSnapshot` (memory captured through the
+        :class:`~repro.memorymodel.PageStore` ``pages`` when given);
+        after the last one the run stops early (``extra["early_stop"]``).
+        ``resume_from`` restores a snapshot and executes only the
+        suffix.  ``ledger`` (a :class:`repro.fi.ledger.GoldenLedger`)
+        ends an injected run at its first grid point past
+        ``inject_index`` whose state equals golden's: status OK, the
+        golden output, ``extra["reconverged"]``.
+        """
+        if ledger is not None and inject_index is None:
+            ledger = None
         if profile:
             self._counts = [0] * len(self.program.uops)
         early = False
+        reconverged = None
         escape = None
         self._armed = False
         self._cf_edge = None
         try:
             if self.dispatch == "decoded":
                 self._loop_decoded(inject_index, inject_bit,
-                                   resume_from, checkpoints, checkpoint_cb)
+                                   resume_from, checkpoints, checkpoint_cb,
+                                   pages, ledger)
             elif self.dispatch == "codegen":
                 # the generated fast path has no per-step tap points;
                 # snapshot streaming, profiling and tracing fall back to
@@ -451,12 +474,13 @@ class AsmMachine:
                         or self.tracer is not None):
                     self._loop_decoded(inject_index, inject_bit,
                                        resume_from, checkpoints,
-                                       checkpoint_cb)
+                                       checkpoint_cb, pages, ledger)
                 else:
                     self._loop_codegen(inject_index, inject_bit,
-                                       resume_from)
+                                       resume_from, ledger)
             else:
-                if resume_from is not None or checkpoints is not None:
+                if (resume_from is not None or checkpoints is not None
+                        or ledger is not None):
                     raise ReproError(
                         "checkpoint-replay requires dispatch='decoded'")
                 self._loop(inject_index, inject_bit)
@@ -464,6 +488,9 @@ class AsmMachine:
         except CheckpointsDone:
             status, trap = RunStatus.OK, None
             early = True
+        except Reconverged as r:
+            status, trap = RunStatus.OK, None
+            reconverged = r.index
         except FaultDetected:
             status, trap = RunStatus.DETECTED, None
         except SimTrap as t:
@@ -504,9 +531,12 @@ class AsmMachine:
             extra["early_stop"] = True
         if escape is not None:
             extra["host_escape"] = escape
+        if reconverged is not None:
+            extra["reconverged"] = reconverged
         return ExecResult(
             status=status,
-            output="".join(self.outputs),
+            output=("".join(self.outputs) if reconverged is None
+                    else ledger.golden_output),
             dyn_total=self.dyn_total,
             dyn_injectable=self.dyn_injectable,
             trap_kind=trap,
@@ -881,12 +911,15 @@ class AsmMachine:
         resume_from: Optional[AsmSnapshot] = None,
         watch: Optional[Sequence[int]] = None,
         watch_cb=None,
+        pages=None,
+        ledger=None,
     ) -> None:
         """Closure-dispatch twin of :meth:`_loop`.
 
         Identical observable behaviour; additionally supports resuming
-        from an :class:`AsmSnapshot` and streaming snapshots out at the
-        requested ``watch`` injection indices (ascending order).
+        from an :class:`AsmSnapshot`, streaming snapshots out at the
+        requested ``watch`` injection indices (ascending order) and
+        checking a golden ``ledger`` past the injection.
         """
         from .decode import AsmState
 
@@ -916,7 +949,7 @@ class AsmMachine:
             if len(snap.mem) != len(data):
                 raise ReproError(
                     "snapshot does not match machine memory geometry")
-            data[:] = snap.mem
+            load_image(data, snap.mem)
             mem.heap_break = snap.heap_break
             regs = list(snap.regs)
             xmm = list(snap.xmm)
@@ -933,8 +966,11 @@ class AsmMachine:
         st.max_depth = self.max_call_depth
 
         self.injected = False
+        if ledger is not None:
+            watch = ledger.points_after(inject_index)
         self._decoded_core(st, pc, steps, injectable,
-                           inject_index, inject_bit, watch, watch_cb)
+                           inject_index, inject_bit, watch, watch_cb,
+                           pages, ledger)
 
     def _decoded_core(
         self,
@@ -946,6 +982,8 @@ class AsmMachine:
         inject_bit: int,
         watch: Optional[Sequence[int]] = None,
         watch_cb=None,
+        pages=None,
+        ledger=None,
     ) -> None:
         """The decoded driver loop proper, entered with live counters.
 
@@ -953,7 +991,8 @@ class AsmMachine:
         hand over mid-run (step budget nearly exhausted) with exact
         ``steps``/``injectable`` values.  Reads ``self.injected`` as the
         starting flip state: a hand-over after the flip has been applied
-        must not lose it.
+        must not lose it.  With a ``ledger``, ``watch`` streams its grid
+        points and each is compared instead of snapshotted.
         """
         from .decode import _Halt, decode_program
 
@@ -975,6 +1014,7 @@ class AsmMachine:
         watch_iter = iter(watch) if watch is not None else None
         next_watch = (next(watch_iter, None)
                       if watch_iter is not None else None)
+        capture = pages.capture if pages is not None else bytes
 
         max_steps = self.max_steps
         counts = self._counts
@@ -997,12 +1037,16 @@ class AsmMachine:
                         and injectable == next_watch):
                     self.dyn_total = steps
                     self.dyn_injectable = injectable
-                    watch_cb(next_watch, AsmSnapshot(
-                        bytes(data), mem.heap_break, tuple(regs),
-                        tuple(xmm), st.fl, pc, steps, injectable,
-                        tuple(self.outputs), st.depth))
+                    if ledger is not None:
+                        if ledger.match_asm(next_watch, self, st, pc, steps):
+                            raise Reconverged(next_watch)
+                    else:
+                        watch_cb(next_watch, AsmSnapshot(
+                            capture(data), mem.heap_break, tuple(regs),
+                            tuple(xmm), st.fl, pc, steps, injectable,
+                            tuple(self.outputs), st.depth))
                     next_watch = next(watch_iter, None)
-                    if next_watch is None:
+                    if next_watch is None and ledger is None:
                         raise CheckpointsDone()
                 steps += 1
                 if steps > max_steps:
@@ -1062,13 +1106,15 @@ class AsmMachine:
         inject_index: Optional[int],
         inject_bit: int,
         resume_from: Optional[AsmSnapshot] = None,
+        ledger=None,
     ) -> None:
         """Generated-code twin of :meth:`_loop_decoded` (DESIGN §13).
 
         Drives the specialized executor chunk to chunk; drops to the
         decoded single-stepper when a corrupted return address leaves
-        the leader map, and hands the whole run to the decoded core
-        when the step budget could expire inside the next chunk.
+        the leader map or when a ``ledger`` grid point lies inside the
+        next chunk, and hands the whole run to the decoded core when the
+        step budget could expire inside the next chunk.
         """
         from .codegen import careful_until_leader, codegen_program
         from .decode import AsmState, _Halt, decode_program
@@ -1101,7 +1147,7 @@ class AsmMachine:
             if len(snap.mem) != len(data):
                 raise ReproError(
                     "snapshot does not match machine memory geometry")
-            data[:] = snap.mem
+            load_image(data, snap.mem)
             mem.heap_break = snap.heap_break
             regs = list(snap.regs)
             xmm = list(snap.xmm)
@@ -1120,8 +1166,11 @@ class AsmMachine:
         self.injected = False
         self._armed = True
         # counter carrier shared with the generated code and the
-        # careful stepper: [steps, injectable, target, bit]
-        c = [steps, injectable, target, inject_bit]
+        # careful stepper: [steps, injectable, target, bit, next event
+        # (the target, then grid points), first grid point]
+        c = [steps, injectable, target, inject_bit, target,
+             ledger.next_after(target) if ledger is not None
+             else NO_POINT]
         run = cp.run
         leaders = cp.leaders
         try:
@@ -1130,7 +1179,7 @@ class AsmMachine:
                 if k is None:
                     try:
                         pc = careful_until_leader(self, st, dp, leaders,
-                                                  c, pc)
+                                                  c, pc, ledger)
                     except _Halt:
                         break
                     continue
@@ -1140,12 +1189,23 @@ class AsmMachine:
                     pc = r[1]
                 elif tag == 1:
                     break
+                elif tag == 3:
+                    # a grid point lies ahead inside the current chunk
+                    try:
+                        pc = careful_until_leader(self, st, dp, leaders,
+                                                  c, r[1], ledger,
+                                                  enter=True)
+                    except _Halt:
+                        break
                 else:
                     # budget hand-over: the decoded core owns the
                     # exact step-budget raise point
                     try:
-                        self._decoded_core(st, r[1], c[0], c[1],
-                                           inject_index, inject_bit)
+                        self._decoded_core(
+                            st, r[1], c[0], c[1], inject_index, inject_bit,
+                            None if ledger is None
+                            else ledger.points_after(max(target, c[1] - 1)),
+                            ledger=ledger)
                     finally:
                         c[0] = self.dyn_total
                         c[1] = self.dyn_injectable

@@ -32,10 +32,15 @@ from typing import List, Optional, Union
 from .errors import SimTrap
 from .utils.bits import to_signed, to_unsigned
 
-__all__ = ["Memory", "GLOBAL_BASE"]
+__all__ = ["Memory", "GLOBAL_BASE", "PAGE_SIZE", "PagedImage", "PageStore",
+           "load_image"]
 
 GLOBAL_BASE = 0x1000
 _PACK_F64 = struct.Struct("<d")
+
+#: granularity of page-versioned memory images (checkpoint ledgers)
+PAGE_SIZE = 4096
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class Memory:
@@ -144,3 +149,97 @@ class Memory:
 
 def _align(n: int, a: int) -> int:
     return (n + a - 1) & ~(a - 1)
+
+
+# -- page-versioned images ---------------------------------------------------
+
+
+class PagedImage:
+    """Immutable memory image held as a tuple of ``PAGE_SIZE`` pages.
+
+    Images captured by one :class:`PageStore` share every page that did
+    not change between captures, so a run of snapshots costs one full
+    image plus the pages each step dirtied.  ``len()`` is the image size
+    in bytes, matching the raw ``bytes`` images it stands in for.
+    """
+
+    __slots__ = ("pages", "size")
+
+    def __init__(self, pages: tuple, size: int):
+        self.pages = pages
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def tobytes(self) -> bytes:
+        return b"".join(self.pages)
+
+    def first_difference(self, data: bytearray, hint: int = 0) -> int:
+        """Index of a page where ``data`` differs from this image, or -1
+        when every byte is equal.  Page ``hint`` is tried first (the
+        page that differed last time usually still does)."""
+        pages = self.pages
+        same = data.startswith      # memcmp at an offset, no slice copy
+        if 0 < hint < len(pages) and not same(pages[hint],
+                                              hint * PAGE_SIZE):
+            return hint
+        a = 0
+        for i, page in enumerate(pages):
+            if not same(page, a):
+                return i
+            a += PAGE_SIZE
+        return -1
+
+
+class PageStore:
+    """Captures :class:`PagedImage` s of one memory, sharing pages.
+
+    Each capture compares the live bytes page by page with the previous
+    capture and copies only pages that differ; all-zero pages share one
+    object.  ``fresh`` is the byte count of pages the last capture
+    allocated.
+    """
+
+    __slots__ = ("prev", "fresh")
+
+    def __init__(self) -> None:
+        self.prev: Optional[tuple] = None
+        self.fresh = 0
+
+    def capture(self, data: bytearray) -> PagedImage:
+        size = len(data)
+        prev = self.prev
+        if prev is not None and len(prev) * PAGE_SIZE < size:
+            prev = None
+        same = data.startswith      # memcmp at an offset, no slice copy
+        pages = []
+        fresh = 0
+        for i, a in enumerate(range(0, size, PAGE_SIZE)):
+            if prev is not None and same(prev[i], a):
+                pages.append(prev[i])
+                continue
+            page = bytes(data[a:a + PAGE_SIZE])
+            if page == _ZERO_PAGE:
+                page = _ZERO_PAGE
+            else:
+                fresh += len(page)
+            pages.append(page)
+        self.prev = tuple(pages)
+        self.fresh = fresh
+        return PagedImage(self.prev, size)
+
+
+def load_image(data: bytearray, image) -> None:
+    """Overwrite ``data`` with a snapshot image (raw bytes or paged).
+    A paged image rewrites only the pages that differ: a replay
+    simulator is reused across nearby snapshots, so most already do."""
+    if isinstance(image, PagedImage):
+        same = data.startswith
+        a = 0
+        for page in image.pages:
+            if not same(page, a):
+                data[a:a + len(page)] = page
+            a += len(page)
+    else:
+        data[:] = image

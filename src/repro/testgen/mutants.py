@@ -23,7 +23,12 @@ control-flow-checking pass, and asserts that every one of them is
 * **bitlive oracle** — an exhaustive flip of every (site, bit) pair the
   campaign pruner (:mod:`repro.analysis.bitlive`) classifies Benign on
   two witness builds, both layers, both value fault models: any status
-  or output change kills the analysis weakening (DESIGN §17).
+  or output change kills the analysis weakening (DESIGN §17);
+* **reconverge oracle** — every injectable index of the witness builds
+  replayed against an exhaustive golden state ledger, both layers, all
+  three fault models, and every early-exited draw re-run as a full
+  naive execution: any differing outcome, iid, asm metadata or trap
+  kind kills the comparator weakening (DESIGN §18).
 
 *Identity* pseudo-mutants rebuild each baseline from scratch and demand
 bit-exact agreement of the sweep outcome counts — proving both that the
@@ -55,6 +60,7 @@ from ..analysis import bitlive as _bitlive
 from ..backend.lower import lower_module
 from ..execresult import RunStatus
 from ..faultmodel import fault_bit_range
+from ..fi import ledger as _ledger
 from ..fi.engine import run_injection_suite
 from ..fi.outcomes import Outcome, classify_outcome
 from ..frontend.codegen import compile_source
@@ -84,6 +90,7 @@ from ..protection.planner import (
 __all__ = [
     "WITNESS_SOURCE",
     "BITLIVE_WITNESS_SOURCE",
+    "RECONVERGE_WITNESS_SOURCE",
     "MUTANTS",
     "SMOKE_MUTANTS",
     "Mutant",
@@ -143,6 +150,38 @@ int main() {
 }
 """
 
+#: third witness, for the reconvergence comparator mutants: a value
+#: compared as data (cmp + setcc, so asm flags carry state between
+#: sites), a float accumulator (XMM state), stores whose corruption
+#: lingers until the final dump, and a print taken on a value that dies
+#: right after — its else branch runs as many IR steps and writes
+#: memory the value it already holds, so a flip there differs from
+#: golden in the output length alone (DESIGN §18)
+RECONVERGE_WITNESS_SOURCE = """\
+int data[8] = {12, -7, 33, 5, -21, 14, 9, -2};
+float w = 0.5;
+int sink = 0;
+
+int main() {
+    int acc = 0;
+    int zero = 0;
+    float f = 1.0;
+    for (int i = 0; i < 8; i++) {
+        int v = data[i];
+        int t = data[(i + 3) & 7] + 100;
+        if (t > 120) { print(i); } else { sink = zero; }
+        int lt = v < acc;
+        acc = acc + lt + i * 3;
+        f = f * w + 1.0;
+        data[i] = acc & 63;
+    }
+    print(acc);
+    print(f);
+    for (int j = 0; j < 8; j++) { print(data[j]); }
+    return 0;
+}
+"""
+
 
 @dataclass(frozen=True)
 class MutationConfig:
@@ -174,8 +213,8 @@ class Mutant:
     """One catalogued weakening of the protection pipeline."""
 
     name: str
-    kind: str           # checker | shadow | selection | flowery | plan | codegen | cfc | pruner | identity
-    oracle: str         # golden | coverage | invariant | codegen | bitlive | identity
+    kind: str           # checker | shadow | selection | flowery | plan | codegen | cfc | pruner | comparator | identity
+    oracle: str         # golden | coverage | invariant | codegen | bitlive | reconverge | identity
     baseline: str       # dup-ir | flowery-asm | plan-ir | cfc-ir | none
     description: str
     build: Callable[["_Context"], object]
@@ -313,6 +352,7 @@ class _Context:
         self._baselines: Dict[Tuple[str, str],
                               Tuple[Dict[str, int], object]] = {}
         self._bitlive_builds: Optional[Tuple] = None
+        self._reconverge_builds: Optional[Tuple] = None
 
     def fresh_module(self) -> Module:
         return compile_source(self.config.source, "witness")
@@ -351,6 +391,24 @@ class _Context:
                 ("carry", carry_module, carry_layout, carry_compiled),
             )
         return self._bitlive_builds
+
+    @property
+    def reconverge_builds(self) -> Tuple:
+        """Witness builds for the reconvergence-comparator oracle: the
+        dedicated reconvergence witness first (it kills every
+        comparator weakening), then the bitlive witnesses for a wider
+        zero-false-kill scan."""
+        if self._reconverge_builds is None:
+            module = compile_source(RECONVERGE_WITNESS_SOURCE,
+                                    "reconverge-witness")
+            verify_module(module)
+            layout = GlobalLayout(module)
+            compiled = compile_program(
+                lower_module(module, layout).flatten())
+            self._reconverge_builds = (
+                ("reconverge", module, layout, compiled),
+                *self.bitlive_builds)
+        return self._reconverge_builds
 
     def hottest(self, n: int) -> Set[int]:
         ranked = sorted(self.full, key=lambda i: (-self.dyn_counts.get(i, 0), i))
@@ -807,6 +865,87 @@ def _eval_bitlive(ctx: _Context, mutant: Mutant):
 
 
 # ---------------------------------------------------------------------------
+# reconvergence-comparator weakenings
+#
+# These patch the comparator hooks of the golden state ledger
+# (repro.fi.ledger) and are judged by the reconverge oracle: every
+# injectable index of the witness builds replays against an exhaustive
+# ledger, and every early exit is re-run as a full naive execution.  A
+# comparator that calls a still-diverged replay reconverged reports a
+# wrong Benign — a kill.
+
+
+def _ignore_memory_patch(ctx: _Context):
+    """Memory pages are never compared: a corrupted store that is read
+    back later looks reconverged."""
+    return _patched(_ledger, "_memory_equal",
+                    lambda ledger, data, image: True)
+
+
+def _ignore_flags_xmm_patch(ctx: _Context):
+    """The asm flags word and XMM registers are never compared: a
+    flipped flag consumed by a later setcc/jcc looks reconverged."""
+    return _patched(_ledger, "_flags_xmm_equal",
+                    lambda fl, xmm, entry: True)
+
+
+def _ignore_output_length_patch(ctx: _Context):
+    """The number of output writes is never compared (only the text of
+    the writes both runs made): an extra or missing print looks
+    reconverged."""
+    return _patched(_ledger, "_output_length_equal",
+                    lambda outputs, golden: True)
+
+
+def _no_liveness_patch(ctx: _Context):
+    """IR frames are compared whole instead of on live temps — coarser
+    but sound (fewer early exits, never a wrong one): the false-kill
+    control of this family."""
+    return _patched(_ledger, "_frame_live",
+                    lambda live, fn, block, index: None)
+
+
+def _eval_reconverge(ctx: _Context, mutant: Mutant):
+    """Exhaustive reconvergence oracle over the witness builds, both
+    layers and all three fault models, with the mutant's comparator
+    patch applied.  Kill = any early-exited draw whose full naive run
+    differs.  Killed mutants stop at the first combination with
+    violations; controls scan everything."""
+    draws = early = violations = 0
+    first = ""
+    with mutant.build(ctx):
+        for tag, module, layout, compiled in ctx.reconverge_builds:
+            for layer in ("ir", "asm"):
+                kwargs = (dict(module=module, layout=layout)
+                          if layer == "ir"
+                          else dict(program=compiled, layout=layout))
+                for fm in ("seu", "set", "cf"):
+                    rep = _ledger.verify_reconvergence(
+                        layer, fault_model=fm, bits=(0, 1, 2), **kwargs)
+                    draws += rep["draws"]
+                    early += rep["reconverged"]
+                    bad = rep["violations"]
+                    violations += len(bad)
+                    if bad and not first:
+                        dyn, bit, status, grid = bad[0]
+                        first = (f"{tag}/{layer}/{fm} dyn={dyn} bit={bit} "
+                                 f"exited at {grid}, naive {status}")
+                if violations:
+                    break
+            if violations:
+                break
+    metrics = {"draws": float(draws), "reconverged": float(early),
+               "violations": float(violations)}
+    if violations:
+        return True, "reconverge", (
+            f"{violations} of {early} early exits disagree with the naive "
+            f"run over {draws} draws (first: {first})"), metrics
+    return False, "reconverge", (
+        f"all {early} early exits over {draws} draws match the naive "
+        "run"), metrics
+
+
+# ---------------------------------------------------------------------------
 # the catalog
 
 MUTANTS: Tuple[Mutant, ...] = (
@@ -916,6 +1055,18 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("bitlive-skip-checker-shadow", "pruner", "bitlive", "none",
            "checker compares observe nothing: shadowed bits Benign",
            _skip_checker_shadow_patch),
+    # -- reconvergence comparator (golden state ledger) ---------------------
+    Mutant("reconverge-ignore-memory", "comparator", "reconverge", "none",
+           "ledger compare skips memory pages", _ignore_memory_patch),
+    Mutant("reconverge-ignore-flags-xmm", "comparator", "reconverge",
+           "none", "ledger compare skips asm flags and XMM registers",
+           _ignore_flags_xmm_patch),
+    Mutant("reconverge-ignore-output-length", "comparator", "reconverge",
+           "none", "ledger compare skips the output write count",
+           _ignore_output_length_patch),
+    Mutant("reconverge-no-liveness", "comparator", "reconverge", "none",
+           "IR frames compared whole, not on live temps (sound, coarser: "
+           "false-kill control)", _no_liveness_patch, expect_killed=False),
     # -- identity pseudo-mutants (must survive) ------------------------------
     Mutant("identity-dup", "identity", "identity", "dup-ir",
            "rebuild the dup-100 baseline unchanged (zero-false-kill proof)",
@@ -940,6 +1091,11 @@ MUTANTS: Tuple[Mutant, ...] = (
            "run the exhaustive benign-flip oracle unpatched "
            "(zero-false-kill proof: the sound analysis has no violations)",
            lambda ctx: contextlib.nullcontext(), expect_killed=False),
+    Mutant("identity-reconverge", "identity", "reconverge", "none",
+           "run the exhaustive reconvergence oracle unpatched "
+           "(zero-false-kill proof: the exact comparator never exits "
+           "early on a diverged replay)",
+           lambda ctx: contextlib.nullcontext(), expect_killed=False),
 )
 
 #: fast subset for CI smoke runs: one golden kill, one structural kill,
@@ -953,6 +1109,7 @@ SMOKE_MUTANTS: Tuple[str, ...] = (
     "codegen-dropped-flip-hook",
     "cfc-dropped-update",
     "bitlive-skip-checker-shadow",
+    "reconverge-ignore-memory",
     "identity-dup",
 )
 
@@ -1067,6 +1224,10 @@ def run_mutation_suite(
             killed_by = killed_by if killed else ""
         elif mutant.oracle == "bitlive":
             killed, killed_by, detail, metrics = _eval_bitlive(ctx, mutant)
+            killed_by = killed_by if killed else ""
+        elif mutant.oracle == "reconverge":
+            killed, killed_by, detail, metrics = _eval_reconverge(
+                ctx, mutant)
             killed_by = killed_by if killed else ""
         elif mutant.oracle == "identity":
             killed, killed_by, detail, metrics = _eval_identity(ctx, mutant)

@@ -13,6 +13,8 @@ Event schema (one JSON object per line)::
     {"ev": "worker",  "worker": i, "injections": n, "seconds": s,
      "rate": n/s}
     {"ev": "outcome", "counts": {...}, "total": n}
+    {"ev": "engine",  "golden_steps": g, "suffix_steps": s,
+     "replays": r, "reconverged": k, "reconverge_saved_steps": d}
     {"ev": ...}       # free-form via emit()
 
 All timings use :func:`time.perf_counter`; events carry a monotonic
@@ -29,6 +31,10 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
 __all__ = ["CampaignObserver"]
+
+#: counters of an ``engine`` event (repro.fi.engine.run_injection_suite)
+_ENGINE_KEYS = ("golden_steps", "suffix_steps", "replays", "reconverged",
+                "reconverge_saved_steps")
 
 
 class CampaignObserver:
@@ -71,6 +77,14 @@ class CampaignObserver:
         """Record the final outcome histogram of a campaign."""
         self.emit("outcome", counts=dict(counts),
                   total=sum(counts.values()), **fields)
+
+    def engine(self, stats: Dict[str, int], **fields: object) -> None:
+        """Record the checkpoint-replay engine's step accounting for one
+        batch of injections (see :func:`repro.fi.engine
+        .run_injection_suite`): golden/suffix steps, replays, and the
+        replays that reconverged with the suffix steps they skipped."""
+        self.emit("engine", **{k: int(v) for k, v in stats.items()},
+                  **fields)
 
     # -- resilience events (see repro.fi.resilience) -------------------
 
@@ -116,6 +130,15 @@ class CampaignObserver:
             if ev["ev"] == "outcome":
                 for k, v in ev["counts"].items():
                     out[k] = out.get(k, 0) + v
+        return out
+
+    def engine_counts(self) -> Dict[str, int]:
+        """Engine step counters summed across all engine events."""
+        out: Dict[str, int] = {}
+        for ev in self.events:
+            if ev["ev"] == "engine":
+                for k in _ENGINE_KEYS:
+                    out[k] = out.get(k, 0) + int(ev.get(k, 0))
         return out
 
     def resilience_events(self) -> List[dict]:
@@ -164,6 +187,22 @@ class CampaignObserver:
                 lines.append(f"  {name:<16s} {counts[name]:>8d} "
                              f"{share:>6.1f}%")
             lines.append(f"  {'total':<16s} {total:>8d}")
+        eng = self.engine_counts()
+        if eng.get("replays"):
+            replays = eng["replays"]
+            rc = eng["reconverged"]
+            saved = eng["reconverge_saved_steps"]
+            work = eng["suffix_steps"] + saved
+            lines.append("engine")
+            lines.append(f"  {'replays':<16s} {replays:>10d}")
+            lines.append(f"  {'reconverged':<16s} {rc:>10d} "
+                         f"{100.0 * rc / replays:>6.1f}%")
+            lines.append(f"  {'golden steps':<16s} "
+                         f"{eng['golden_steps']:>10d}")
+            lines.append(f"  {'suffix steps':<16s} "
+                         f"{eng['suffix_steps']:>10d}")
+            lines.append(f"  {'saved steps':<16s} {saved:>10d} "
+                         f"{100.0 * saved / work if work else 0.0:>6.1f}%")
         resil = self.resilience_events()
         if resil:
             lines.append("resilience")

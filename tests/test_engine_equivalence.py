@@ -447,7 +447,7 @@ class TestTrapEquivalence:
 class TestBenchHarness:
     def test_bench_document_shape(self):
         doc = run_campaign_bench("crc32", scale="tiny", n=6, seed=1)
-        assert doc["schema"] == "bench_campaign/6"
+        assert doc["schema"] == "bench_campaign/7"
         assert set(doc["layers"]) == {"ir", "asm"}
         for d in doc["layers"].values():
             assert d["results_identical"] is True
@@ -458,6 +458,10 @@ class TestBenchHarness:
             g = d["codegen"]
             assert g["results_identical"] is True
             assert g["decoded_seconds"] > 0 and g["codegen_seconds"] > 0
+            rc = d["reconvergence"]
+            assert rc["results_identical"] is True
+            assert rc["on_replay_steps"] <= rc["off_replay_steps"]
+            assert 0 <= rc["reconverged"] <= rc["replays"]
             inc = d["incremental"]
             assert inc["sections"] >= 1
             assert inc["cold_seconds"] > 0 and inc["warm_seconds"] > 0
