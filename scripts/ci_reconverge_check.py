@@ -9,9 +9,10 @@ Two gates on a small benchmark, unprotected and fully duplicated:
    and codegen tiers; every early-exited draw is re-run as a full
    naive execution and must agree on status, output, trap kind, iid
    and asm metadata.
-2. **Campaign identity** — a campaign with reconvergence on must have
-   the same ``campaign_signature`` as with it off, on both layers, and
-   must replay fewer suffix steps.
+2. **Campaign identity** — a campaign on the default engine must have
+   the same ``campaign_signature`` as on the engine without a ledger
+   grid (``ledger.OFF``), on both layers, and must replay fewer suffix
+   steps.
 
 Run from the repository root (CI does)::
 
@@ -20,7 +21,6 @@ Run from the repository root (CI does)::
 
 from __future__ import annotations
 
-import os
 import pathlib
 import sys
 import time
@@ -32,7 +32,7 @@ from repro.fi.bench import campaign_signature  # noqa: E402
 from repro.fi.campaign import (  # noqa: E402
     CampaignConfig, run_asm_campaign, run_ir_campaign,
 )
-from repro.fi.ledger import verify_reconvergence  # noqa: E402
+from repro.fi.ledger import OFF, verify_reconvergence  # noqa: E402
 from repro.pipeline import build  # noqa: E402
 from repro.trace.observe import CampaignObserver  # noqa: E402
 
@@ -49,15 +49,15 @@ def _kwargs(built, layer):
     return dict(program=built.compiled, layout=built.layout)
 
 
-def _campaign(built, layer, reconverge: str):
-    os.environ["REPRO_RECONVERGE"] = reconverge
+def _campaign(built, layer, ledger_config=None):
     obs = CampaignObserver()
     cfg = CampaignConfig(n_campaigns=CAMPAIGN_N, seed=SEED)
     if layer == "ir":
-        res = run_ir_campaign(built.module, cfg, built.layout, observer=obs)
+        res = run_ir_campaign(built.module, cfg, built.layout, observer=obs,
+                              ledger_config=ledger_config)
     else:
         res = run_asm_campaign(built.compiled, built.layout, cfg,
-                               observer=obs)
+                               observer=obs, ledger_config=ledger_config)
     return campaign_signature(res), obs.engine_counts()
 
 
@@ -86,8 +86,8 @@ def main() -> int:
                               f"dyn={dyn} bit={bit} exited at grid point "
                               f"{grid} but the naive run is {status}")
                         return 1
-            off_sig, off = _campaign(built, layer, "0")
-            on_sig, on = _campaign(built, layer, "1")
+            off_sig, off = _campaign(built, layer, OFF)
+            on_sig, on = _campaign(built, layer)
             if on_sig != off_sig:
                 print(f"FAIL: {tag} {layer} campaign signature changes "
                       f"with reconvergence on")

@@ -50,13 +50,12 @@ statically-benign draw.
 
 Since bench_campaign/7 each layer carries a ``reconvergence`` section
 (DESIGN §18): the same engine campaign timed warm with the golden state
-ledger off (``REPRO_RECONVERGE=0``) and on, reporting the replayed
-suffix steps and wall time of both, their ratios, and how many replays
-ended early; the results must be bit-identical.  The step ratio is
-deterministic and carries the ceiling enforced by
-``benchmarks/test_perf_simulators.py``.  The pruning section runs with
-the ledger off, so it keeps measuring what pruning and stratification
-alone save.
+ledger off (``ledger_config=ledger.OFF``) and on, reporting the
+replayed suffix steps and wall time of both, their ratios, and how many
+replays ended early; the results must be bit-identical.  The step ratio
+is deterministic and carries the ceiling enforced by
+``benchmarks/test_perf_simulators.py``.  Every other section runs the
+default engine, ledger included.
 
 Since bench_campaign/3 it additionally carries a ``testgen`` section
 (DESIGN §12): a differential-oracle smoke over a handful of generated
@@ -77,6 +76,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from ..fi.campaign import CampaignConfig, CampaignResult
+from ..fi.ledger import OFF
 from ..pipeline import build
 
 __all__ = ["run_campaign_bench", "render_bench", "campaign_signature"]
@@ -167,17 +167,33 @@ def _run_pruning_section() -> Dict:
     deterministic for the fixed (benchmark, scale, seed), so the ratios
     below are reproducible figures, not wall-clock noise.
 
-    Runs with the golden state ledger off: reconvergence also makes
-    Benign draws cheap, so with it on the uniform reference shrinks
-    too and the ratios would mix the two mechanisms (measured with it
-    on: 1.60x stratified, 1.05x pruned).  Reconvergence has its own
-    section.
+    The floor figures are taken on the engine without reconvergence
+    (``ledger.OFF``), where every draw costs its full suffix — the cost
+    model the >= 2x floor was set on.  ``default_engine`` repeats the
+    campaigns on the default engine, whose golden state ledger also
+    makes Benign draws cheap in the uniform reference, so its ratios
+    are lower (DESIGN §17.6).
     """
-    with _env("REPRO_RECONVERGE", "0"):
-        return _pruning_section()
+    doc = _pruning_section(OFF)
+    dflt = _pruning_section(None)
+    doc["default_engine"] = {
+        "stratified_steps_ratio": dflt["stratified"]["steps_ratio"],
+        "uniform_steps": dflt["stratified"]["uniform_steps"],
+        "stratified_steps": dflt["stratified"]["stratified_steps"],
+        "prune_steps_ratio": dflt["prune"]["steps_ratio"],
+        "prune_uniform_steps": dflt["prune"]["uniform_steps"],
+        "pruned_steps": dflt["prune"]["pruned_steps"],
+        "estimates_identical": (
+            dflt["stratified"]["stratified_sdc"]
+            == doc["stratified"]["stratified_sdc"]
+            and dflt["stratified"]["uniform_sdc"]
+            == doc["stratified"]["uniform_sdc"]
+            and dflt["prune"]["estimates_identical"]),
+    }
+    return doc
 
 
-def _pruning_section() -> Dict:
+def _pruning_section(ledger_config) -> Dict:
     from .campaign import run_asm_campaign, run_ir_campaign
 
     built = build(PRUNING_BENCHMARK, scale=PRUNING_SCALE,
@@ -185,12 +201,12 @@ def _pruning_section() -> Dict:
     uni_s, uniform = _time_campaign(
         run_ir_campaign, built.module,
         CampaignConfig(n_campaigns=PRUNING_UNIFORM_N, seed=DEFAULT_SEED),
-        built.layout, dispatch="codegen")
+        built.layout, dispatch="codegen", ledger_config=ledger_config)
     strat_s, strat = _time_campaign(
         run_ir_campaign, built.module,
         CampaignConfig(n_campaigns=PRUNING_STRATIFIED_N,
                        seed=DEFAULT_SEED, prune=True, stratify=True),
-        built.layout, dispatch="codegen")
+        built.layout, dispatch="codegen", ledger_config=ledger_config)
     us, ss = uniform.summary(), strat.summary()
     u_lo, u_hi = us["sdc_ci"]
     s_lo, s_hi = ss["sdc_ci"]
@@ -200,12 +216,12 @@ def _pruning_section() -> Dict:
     asm_uni_s, asm_uni = _time_campaign(
         run_asm_campaign, built.compiled, built.layout,
         CampaignConfig(n_campaigns=PRUNING_PRUNE_N, seed=DEFAULT_SEED),
-        dispatch="codegen")
+        dispatch="codegen", ledger_config=ledger_config)
     asm_pr_s, asm_pr = _time_campaign(
         run_asm_campaign, built.compiled, built.layout,
         CampaignConfig(n_campaigns=PRUNING_PRUNE_N, seed=DEFAULT_SEED,
                        prune=True),
-        dispatch="codegen")
+        dispatch="codegen", ledger_config=ledger_config)
     au, ap = asm_uni.summary(), asm_pr.summary()
     prune_identical = all(
         au[k] == ap[k] for k in ("sdc", "due", "detected", "benign"))
@@ -249,26 +265,27 @@ def _pruning_section() -> Dict:
 
 
 @contextmanager
-def _env(name: str, value: str):
-    """Temporarily pin an on/off switch (``REPRO_CONTAIN``,
-    ``REPRO_RECONVERGE``)."""
-    prev = os.environ.get(name)
-    os.environ[name] = value
+def _contain_env(value: str):
+    """Temporarily pin ``REPRO_CONTAIN`` (the sandbox on/off switch)."""
+    prev = os.environ.get("REPRO_CONTAIN")
+    os.environ["REPRO_CONTAIN"] = value
     try:
         yield
     finally:
         if prev is None:
-            os.environ.pop(name, None)
+            os.environ.pop("REPRO_CONTAIN", None)
         else:
-            os.environ[name] = prev
+            os.environ["REPRO_CONTAIN"] = prev
 
 
-def _time_engine(run, *args) -> Tuple[float, CampaignResult, Dict[str, int]]:
+def _time_engine(run, *args, **kwargs
+                 ) -> Tuple[float, CampaignResult, Dict[str, int]]:
     """Time one engine campaign; also return its engine step counters."""
     from ..trace.observe import CampaignObserver
 
     obs = CampaignObserver()
-    secs, res = _time_campaign(run, *args, engine=True, observer=obs)
+    secs, res = _time_campaign(run, *args, engine=True, observer=obs,
+                               **kwargs)
     return secs, res, obs.engine_counts()
 
 
@@ -306,9 +323,9 @@ def run_campaign_bench(
         # containment overhead: the same engine campaign with the fault
         # containment sandbox off vs on (both warm — the run above
         # already primed decode caches and allocator pools)
-        with _env("REPRO_CONTAIN", "0"):
+        with _contain_env("0"):
             off_s, off_res = _time_campaign(run, *args, engine=True)
-        with _env("REPRO_CONTAIN", "1"):
+        with _contain_env("1"):
             on_s, on_res = _time_campaign(run, *args, engine=True)
         # dispatch tiers on the engine path: decoded vs generated code,
         # both warm (the first codegen run below builds and caches the
@@ -326,10 +343,9 @@ def run_campaign_bench(
             campaign_signature(cg_res)
         # reconvergence early exit: the same warm engine campaign with
         # the golden state ledger off vs on
-        with _env("REPRO_RECONVERGE", "0"):
-            rc_off_s, rc_off, off_eng = _time_engine(run, *args)
-        with _env("REPRO_RECONVERGE", "1"):
-            rc_on_s, rc_on, on_eng = _time_engine(run, *args)
+        rc_off_s, rc_off, off_eng = _time_engine(run, *args,
+                                                 ledger_config=OFF)
+        rc_on_s, rc_on, on_eng = _time_engine(run, *args)
         # raw tier throughput: one full golden run per tier, warm
         run_dec_s = _time_golden(built, layer, "decoded")
         run_cg_s = _time_golden(built, layer, "codegen")
@@ -652,6 +668,14 @@ def render_bench(doc: Dict) -> str:
             f"statically, {pu['steps_ratio']:.2f}x fewer steps, "
             f"estimates identical: {pu['estimates_identical']}"
         )
+        dflt = pr.get("default_engine")
+        if dflt:
+            # the lines above are on the engine without reconvergence
+            lines.append(
+                f"  (engine without reconvergence; default engine: "
+                f"stratified {dflt['stratified_steps_ratio']:.2f}x, "
+                f"pruned {dflt['prune_steps_ratio']:.2f}x fewer steps, "
+                f"estimates identical: {dflt['estimates_identical']})")
         lines.append(f"  sound: {pr['sound']}")
     tg = doc.get("testgen")
     if tg:

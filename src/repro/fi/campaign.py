@@ -217,6 +217,7 @@ def run_ir_campaign(
     engine: Optional[bool] = None,
     dispatch: Optional[str] = None,
     fault_model: Optional[str] = None,
+    ledger_config=None,
 ) -> CampaignResult:
     """LLFI-style campaign at the IR layer.
 
@@ -229,6 +230,9 @@ def run_ir_campaign(
     ``fault_model`` selects what each injection corrupts (default SEU;
     see :mod:`repro.faultmodel`) — the golden run counts that model's
     injectable sites, so the draw universe follows the model.
+    ``ledger_config`` sizes the engine's golden state ledger
+    (:class:`repro.fi.ledger.LedgerConfig`; ``ledger.OFF`` is the
+    engine without reconvergence early exit, for benchmarks).
 
     ``config.prune`` resolves provably-benign draws statically
     (:mod:`repro.analysis.bitlive`) without simulating them — same
@@ -242,7 +246,8 @@ def run_ir_campaign(
 
         return run_stratified_campaign(
             "ir", config, module=module, layout=layout, observer=observer,
-            engine=engine, dispatch=dispatch, fault_model=fm)
+            engine=engine, dispatch=dispatch, fault_model=fm,
+            ledger_config=ledger_config)
     use_engine = engine_enabled(engine)
     tier = engine_dispatch(dispatch) if use_engine else "naive"
     layout = layout or GlobalLayout(module)
@@ -308,6 +313,7 @@ def run_ir_campaign(
                 dispatch=tier,
                 fault_model=fm,
                 stats=engine_steps,
+                ledger_config=ledger_config,
             )
         else:
             for i, idx, bit in live:
@@ -344,12 +350,13 @@ def run_asm_campaign(
     engine: Optional[bool] = None,
     dispatch: Optional[str] = None,
     fault_model: Optional[str] = None,
+    ledger_config=None,
 ) -> CampaignResult:
     """PINFI-style campaign at the assembly layer.
 
-    ``engine``, ``dispatch`` and ``fault_model`` select the
-    checkpoint-replay engine, its tier and the injected fault exactly
-    as in :func:`run_ir_campaign`; ``config.prune`` and
+    ``engine``, ``dispatch``, ``fault_model`` and ``ledger_config``
+    select the checkpoint-replay engine, its tier, the injected fault
+    and the ledger size exactly as in :func:`run_ir_campaign`; ``config.prune`` and
     ``config.stratify`` behave exactly as there too.
     """
     fm = validate_fault_model(fault_model)
@@ -359,7 +366,7 @@ def run_asm_campaign(
         return run_stratified_campaign(
             "asm", config, program=program, layout=layout,
             observer=observer, engine=engine, dispatch=dispatch,
-            fault_model=fm)
+            fault_model=fm, ledger_config=ledger_config)
     use_engine = engine_enabled(engine)
     tier = engine_dispatch(dispatch) if use_engine else "naive"
     with _phase(observer, "golden", layer="asm"):
@@ -430,6 +437,7 @@ def run_asm_campaign(
                 dispatch=tier,
                 fault_model=fm,
                 stats=engine_steps,
+                ledger_config=ledger_config,
             )
         else:
             for i, idx, bit in live:

@@ -24,20 +24,21 @@ is bit-identical to the corresponding full run, and campaign results
 are bit-identical to the naive path (asserted by
 ``tests/test_engine_equivalence.py``).
 
-Reconvergence early exit (default on, ``REPRO_RECONVERGE=0`` or
-``reconverge=False`` disables; DESIGN §18): the golden pass also
-records a :class:`~repro.fi.ledger.GoldenLedger` — full snapshots on a
-sparse grid of injectable indices, memory held as shared page versions
-— and runs to the end of the trace.  The snapshots at the drawn targets
-share those pages and are held until the pass completes; then every
-replay runs against the finished ledger and stops at the first grid
-point where its complete state equals golden's.  Ledger and held
+Reconvergence early exit (DESIGN §18): the golden pass also records a
+:class:`~repro.fi.ledger.GoldenLedger` — full snapshots on a sparse
+grid of injectable indices, memory held as shared page versions — and
+the snapshots at the drawn targets share those pages.  They are held
+until the pass ends at the last target; then every replay runs against
+the ledger and stops at the first grid point where its complete state
+equals golden's.  The grid past the last target, and the golden output
+a reconverged replay reports, come from a tail pass that resumes from
+the last target's snapshot; it runs at most once, and only when a
+replay reconverges or outlives the recorded prefix.  Ledger and held
 targets together stay under a fixed byte budget: the grid thins past
-it, and targets that no longer fit are streamed by a second golden pass
-that replays inside its checkpoint callback, one snapshot at a time.
-With reconvergence off the engine holds one snapshot at a time, as
-before: replays for an index run inside the checkpoint callback, before
-the golden pass moves on.
+it, and targets that no longer fit are streamed by a second golden
+pass that replays inside its checkpoint callback, one snapshot at a
+time.  ``ledger_config=ledger.OFF`` records no grid: no replay ends
+early (the reference the benchmarks and oracles compare against).
 
 ``REPRO_ENGINE=0`` disables the engine globally (campaigns fall back to
 the naive re-execution path with naive dispatch — the exact pre-engine
@@ -58,7 +59,7 @@ from ..interp.interpreter import IRInterpreter
 from ..interp.layout import GlobalLayout
 from ..ir.module import Module
 from ..machine.machine import AsmMachine, CompiledProgram
-from .ledger import GoldenLedger, LedgerConfig, reconverge_enabled
+from .ledger import GoldenLedger, LedgerConfig
 
 __all__ = ["engine_dispatch", "engine_enabled", "run_injection_suite"]
 
@@ -105,7 +106,6 @@ def run_injection_suite(
     dispatch: Optional[str] = None,
     fault_model: Optional[str] = None,
     stats: Optional[Dict[str, int]] = None,
-    reconverge: Optional[bool] = None,
     ledger_config: Optional[LedgerConfig] = None,
 ) -> None:
     """Run every ``(tag, dyn_index, bit)`` injection with checkpoint-replay.
@@ -123,16 +123,16 @@ def run_injection_suite(
     (default SEU) selects what the injection corrupts — the simulators
     watch/checkpoint at that model's injectable sites.
 
-    ``reconverge`` (``None`` defers to ``REPRO_RECONVERGE``, default on)
-    records a golden state ledger (:mod:`repro.fi.ledger`, sized by
-    ``ledger_config``) during the golden pass and ends each replay at
-    its first exact match with it.  Such a replay reports status OK,
-    the golden output, its own injection metadata,
+    The golden pass records a golden state ledger
+    (:mod:`repro.fi.ledger`, sized by ``ledger_config``) and each
+    replay ends at its first exact match with it.  Such a replay
+    reports status OK, the golden output, its own injection metadata,
     ``extra["reconverged"]`` (the grid index) and the step it stopped
     at as ``dyn_total``.
 
     ``stats``, when given, accumulates the engine's simulated-step
-    accounting in place: ``golden_steps`` (the checkpointing passes),
+    accounting in place: ``golden_steps`` (the checkpointing passes,
+    the tail pass included),
     ``suffix_steps`` (dynamic steps actually re-executed across every
     replay — a resumed run's ``dyn_total`` is full-run-equivalent, so
     the suffix is its total minus the snapshot's step counter),
@@ -174,14 +174,15 @@ def run_injection_suite(
             stats[key] = stats.get(key, 0) + n
 
     ledger: Optional[GoldenLedger] = None
-    golden_total = 0
 
-    def replay(idx: int, snap) -> None:
+    def snap_steps(snap) -> int:
         # IRSnapshot carries ``dyn_total``, AsmSnapshot ``steps`` — both
         # are the golden step count at the checkpoint
-        prefix = getattr(snap, "steps", None)
-        if prefix is None:
-            prefix = snap.dyn_total
+        steps = getattr(snap, "steps", None)
+        return snap.dyn_total if steps is None else steps
+
+    def replay(idx: int, snap) -> None:
+        prefix = snap_steps(snap)
         for tag, bit in by_idx[idx]:
             try:
                 res = replay_sim.run(
@@ -194,54 +195,71 @@ def run_injection_suite(
                 # classify this one injection as a trap instead of
                 # letting the worker die and burn split-retry budget
                 res = host_escape_result(exc, layer=layer)
+            if ledger is not None and ledger.error is not None:
+                # the tail pass failed inside this replay: a golden-run
+                # fault, not an outcome of the injection
+                raise ledger.error
             count("suffix_steps", max(0, res.dyn_total - prefix))
             count("replays", 1)
             if "reconverged" in res.extra:
                 count("reconverged", 1)
                 count("reconverge_saved_steps",
-                      golden_total - res.dyn_total)
+                      ledger.golden_total - res.dyn_total)
             emit(tag, res)
         done.add(idx)
 
-    if reconverge_enabled(reconverge):
-        # lazy: repro.analysis imports the campaign layer
-        from ..analysis.bitlive import IRLiveTemps
+    # lazy: repro.analysis imports the campaign layer
+    from ..analysis.bitlive import IRLiveTemps
 
-        ledger = GoldenLedger(targets, ledger_config or LedgerConfig(),
-                              live=IRLiveTemps() if layer == "ir" else None)
-        pending: List[Tuple[int, object]] = []
+    ledger = GoldenLedger(targets, ledger_config or LedgerConfig(),
+                          live=IRLiveTemps() if layer == "ir" else None)
+    held: List[Tuple[int, object]] = []
+    reached: List[int] = []
 
-        def record(idx: int, snap) -> None:
-            if ledger.admit(idx, snap, idx in by_idx):
-                pending.append((idx, snap))
+    def record(idx: int, snap) -> None:
+        if idx in by_idx:
+            reached.append(idx)
+            if ledger.admit(idx, snap, True):
+                held.append((idx, snap))
+        else:
+            ledger.admit(idx, snap, False)
 
-        # the golden pass records the ledger to the end of the trace;
-        # replays run once it is complete
-        golden_sim = fresh()
-        golden = golden_sim.run(checkpoints=ledger.watch(targets),
-                                checkpoint_cb=record, pages=ledger.store)
-        count("golden_steps", golden.dyn_total)
-        if golden.status is RunStatus.OK:
-            golden_total = golden.dyn_total
-            ledger.finish(golden.output, golden.return_value)
-        else:  # pragma: no cover - callers hand over clean programs
-            ledger = None
-        held = {i for i, _ in pending}
-        deferred = [t for t in targets
-                    if t not in held and t < golden.dyn_injectable]
-        if ledger is not None:
-            ledger.held.clear()
-        pending.reverse()
-        while pending:
-            replay(*pending.pop())
-        if deferred:
-            # targets past the held-snapshot budget: stream them again,
-            # one snapshot at a time, against the finished ledger
-            again = fresh().run(checkpoints=deferred, checkpoint_cb=replay)
-            count("golden_steps", again.dyn_total)
+    def tail(led: GoldenLedger) -> None:
+        # the rest of the golden run, recording grid points past the
+        # last target.  Takes the ledger as an argument: a closure over
+        # it would make a reference cycle that keeps every page alive
+        # until the next garbage collection.
+        start, snap = led.last
+        res = fresh().run(resume_from=snap,
+                          checkpoints=led.watch_tail(start),
+                          checkpoint_cb=led.admit_grid, pages=led.store)
+        count("golden_steps", res.dyn_total - snap_steps(snap))
+        if res.status is not RunStatus.OK:  # pragma: no cover
+            raise CampaignError(
+                f"golden {layer} tail pass failed: {res.status.value}")
+        led.finish(res.output, res.return_value, res.dyn_total)
+
+    # the golden pass ends at the last target, like a pass without a
+    # ledger; replays run once it is over
+    golden = fresh().run(checkpoints=ledger.watch(targets),
+                         checkpoint_cb=record, pages=ledger.store)
+    count("golden_steps", golden.dyn_total)
+    if golden.status is not RunStatus.OK:  # pragma: no cover
+        ledger = None   # callers hand over clean programs
+    elif golden.extra.get("early_stop"):
+        ledger.extend = tail
     else:
-        golden = fresh().run(checkpoints=targets, checkpoint_cb=replay)
-        count("golden_steps", golden.dyn_total)
+        ledger.finish(golden.output, golden.return_value, golden.dyn_total)
+    kept = {i for i, _ in held}
+    deferred = [t for t in reached if t not in kept]
+    held.reverse()
+    while held:
+        replay(*held.pop())
+    if deferred:
+        # targets past the held-snapshot budget: stream them again,
+        # one snapshot at a time, against the ledger
+        again = fresh().run(checkpoints=deferred, checkpoint_cb=replay)
+        count("golden_steps", again.dyn_total)
     for idx in targets:
         if idx not in done:  # pragma: no cover - defensive
             for tag, bit in by_idx[idx]:

@@ -13,7 +13,14 @@ The engine's golden pass records a :class:`GoldenLedger`: full
 snapshots (registers or frames, flags, pc, depth, counters, outputs,
 heap break) on a sparse grid of injectable indices, with memory held as
 page versions (:class:`~repro.memorymodel.PagedImage`) shared with each
-other and with the snapshots at the drawn targets.  A replay carries
+other and with the snapshots at the drawn targets.  The pass stops at
+the last drawn target, as a pass without a ledger does.  The rest of
+the golden run — grid points past the last target, and the golden
+output a reconverged replay reports — is recorded lazily, by one tail
+pass resumed from the last target's snapshot, and only once some
+replay needs it: it reconverges, or it survives past the recorded
+prefix.  Suites whose replays all end early (detections, traps) never
+pay for the tail.  A replay carries
 the ledger through ``run(ledger=...)`` and checks it at every grid
 point it crosses (:meth:`GoldenLedger.match_asm`,
 :meth:`GoldenLedger.match_ir`): cheap scalar fields first, then
@@ -32,6 +39,9 @@ grid entries and held target snapshots each at most half of ``budget``
 bytes (distinct pages plus per-snapshot overhead).  Past its bounds the
 grid thins deterministically — the spacing doubles and every other
 point is dropped; targets past theirs are streamed by a second pass.
+The tail pass's resume snapshot is the one snapshot held outside the
+budget.  :data:`OFF` (no grid points) is the ledger-free engine the
+benchmarks and oracles compare against.
 
 The module-level ``_*_equal`` and ``_frame_live`` hooks are the
 comparator's mutation surface (:mod:`repro.testgen.mutants`).
@@ -39,7 +49,6 @@ comparator's mutation surface (:mod:`repro.testgen.mutants`).
 
 from __future__ import annotations
 
-import os
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -51,10 +60,11 @@ from ..memorymodel import PageStore
 __all__ = [
     "DEFAULT_BUDGET",
     "GRID_POINTS",
+    "EXHAUSTIVE",
     "NO_POINT",
+    "OFF",
     "GoldenLedger",
     "LedgerConfig",
-    "reconverge_enabled",
     "verify_reconvergence",
 ]
 
@@ -70,24 +80,22 @@ _PACK_F64 = struct.Struct("<d").pack
 _MISSING = object()
 
 
-def reconverge_enabled(flag: Optional[bool] = None) -> bool:
-    """Resolve the reconvergence switch: an explicit ``flag`` wins, else
-    ``REPRO_RECONVERGE`` (default on; ``"0"`` disables)."""
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get("REPRO_RECONVERGE", "1") != "0"
-
-
 @dataclass(frozen=True)
 class LedgerConfig:
     """Ledger sizing.  ``spacing=None`` derives the initial grid spacing
     from the drawn targets; ``spacing=1`` with large ``points`` and
     ``budget`` makes every injectable index a grid point (the
-    exhaustive soundness oracle)."""
+    exhaustive soundness oracle); ``points=0`` (:data:`OFF`) records no
+    grid, so no replay ever ends early."""
 
     budget: int = DEFAULT_BUDGET
     points: int = GRID_POINTS
     spacing: Optional[int] = None
+
+
+#: no grid: the engine without reconvergence (benchmark and oracle
+#: reference)
+OFF = LedgerConfig(points=0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +178,13 @@ class GoldenLedger:
         #: page store shared by every golden-pass snapshot
         self.store = PageStore()
         lo, hi = targets[0], targets[-1]
+        pts = max(config.points, 1)
         self.spacing = config.spacing or max(
-            MIN_SPACING, hi // config.points, (hi - lo) // config.points)
+            MIN_SPACING, hi // pts, (hi - lo) // pts)
         #: grid points lie strictly after the first drawn target
         self.start = lo
         self.points: List[int] = []
         self.entries: Dict[int, object] = {}
-        #: target snapshots kept for replays after the pass
-        self.held: List[object] = []
         #: bytes charged to held targets (at admission)
         self.held_bytes = 0
         #: a target snapshot did not fit the budget; later targets are
@@ -190,24 +197,34 @@ class GoldenLedger:
         self.thinned = 0
         #: IR liveness oracle (:class:`repro.analysis.bitlive.IRLiveTemps`)
         self.live = live
-        #: set when the golden pass completes
+        #: the last golden-pass snapshot, ``(index, snapshot)``: where
+        #: the tail pass resumes
+        self.last = None
+        #: ``extend(ledger)`` runs the tail pass (set by the engine); it
+        #: ends in :meth:`finish`
+        self.extend = None
+        #: an exception the tail pass raised (re-raised by the engine)
+        self.error: Optional[BaseException] = None
+        #: set once the golden run is complete
+        self.complete = False
         self.golden_output: Optional[str] = None
         self.golden_return = None
+        self.golden_total = 0
         #: page that differed at the last failed memory compare
         self.hint = 0
 
-    # -- recording (golden pass) -------------------------------------------
+    # -- recording (golden passes) -------------------------------------------
 
     def watch(self, targets: Sequence[int]) -> Iterator[int]:
-        """Ascending checkpoint stream: the drawn ``targets`` merged with
-        the grid, whose spacing may widen while the stream runs.
-        Infinite — the golden pass runs to its end."""
+        """Ascending checkpoint stream of the golden pass: the drawn
+        ``targets`` merged with the grid, whose spacing may widen while
+        the stream runs; it ends at the last target."""
         ti = 0
         last = self.start
-        while True:
+        while ti < len(targets):
             sp = self.spacing
             g = (last // sp + 1) * sp
-            if ti < len(targets) and targets[ti] <= g:
+            if not self.config.points or targets[ti] <= g:
                 t = targets[ti]
                 ti += 1
                 if t == g:
@@ -217,8 +234,18 @@ class GoldenLedger:
                 last = g
                 yield g
 
+    def watch_tail(self, after: int) -> Iterator[int]:
+        """Grid points past ``after``, to the end of the run (the tail
+        pass)."""
+        last = after
+        while True:
+            sp = self.spacing
+            last = (last // sp + 1) * sp
+            yield last
+
     def is_grid(self, idx: int) -> bool:
-        return idx > self.start and idx % self.spacing == 0
+        return (self.config.points > 0 and idx > self.start
+                and idx % self.spacing == 0)
 
     def admit(self, idx: int, snap, target: bool) -> bool:
         """Record one golden-pass snapshot (a grid point, a drawn target
@@ -229,6 +256,7 @@ class GoldenLedger:
         pass instead.  A kept snapshot is charged every page captured
         since the last kept one (an overestimate: some were superseded)."""
         half = self.config.budget // 2
+        self.last = (idx, snap)
         self.unpaid += self.store.fresh
         cost = self.unpaid + _overhead(snap)
         grid = self.is_grid(idx)
@@ -241,7 +269,6 @@ class GoldenLedger:
         if target and not held:
             self.overflow = True
         if held:
-            self.held.append(snap)
             self.held_bytes += cost
         if grid or held:
             self.unpaid = 0
@@ -249,9 +276,34 @@ class GoldenLedger:
             self._thin()
         return held
 
-    def finish(self, output: str, return_value=None) -> None:
+    def admit_grid(self, idx: int, snap) -> None:
+        """Tail-pass checkpoint callback: grid points only."""
+        self.admit(idx, snap, False)
+
+    def finish(self, output: str, return_value, total: int) -> None:
+        """The golden run is complete: its output, return value and
+        step count."""
         self.golden_output = output
         self.golden_return = return_value
+        self.golden_total = total
+        self.complete = True
+        self.last = None
+
+    def golden(self):
+        """``(output, return value)`` of the golden run, running the
+        tail pass first if it has not run yet."""
+        self._complete()
+        return self.golden_output, self.golden_return
+
+    def _complete(self) -> None:
+        if self.complete:
+            return
+        self.complete = True          # one attempt, even if it raises
+        try:
+            self.extend(self)
+        except BaseException as exc:  # surfaced by the engine
+            self.error = exc
+            raise
 
     def _thin(self) -> None:
         while self.points and (len(self.points) > self.config.points
@@ -280,20 +332,42 @@ class GoldenLedger:
     # -- lookup (replays) ----------------------------------------------------
 
     def points_after(self, idx: int) -> Iterator[int]:
-        """Grid points strictly after ``idx``, ascending."""
-        return iter(self.points[bisect_right(self.points, idx):])
+        """Grid points strictly after ``idx``, ascending (read live: the
+        tail pass may add points, thinning may drop some)."""
+        while True:
+            idx = self.next_after(idx)
+            if idx == NO_POINT:
+                return
+            yield idx
 
     def next_after(self, idx: int) -> int:
-        """First grid point strictly after ``idx`` (or :data:`NO_POINT`)."""
+        """First grid point strictly after ``idx`` (or :data:`NO_POINT`).
+        Past the recorded prefix of an incomplete run it is the next
+        lattice point, which has no entry yet: a replay that reaches it
+        makes the tail pass run (:meth:`_entry`)."""
         i = bisect_right(self.points, idx)
-        return self.points[i] if i < len(self.points) else NO_POINT
+        if i < len(self.points):
+            return self.points[i]
+        if self.complete or not self.config.points:
+            return NO_POINT
+        after = max(idx, self.last[0])
+        return (after // self.spacing + 1) * self.spacing
+
+    def _entry(self, g: int):
+        e = self.entries.get(g)
+        if e is None and not self.complete:
+            self._complete()
+            e = self.entries.get(g)
+        return e
 
     # -- comparators ---------------------------------------------------------
 
     def match_asm(self, g: int, mc, st, pc: int, steps: int) -> bool:
         """Does the machine state right before injectable site ``g``
         equal golden's?"""
-        e = self.entries[g]
+        e = self._entry(g)
+        if e is None:
+            return False
         mem = mc.memory
         if (steps != e.steps or pc != e.pc or st.depth != e.depth
                 or mem.heap_break != e.heap_break
@@ -309,7 +383,9 @@ class GoldenLedger:
     def match_ir(self, g: int, ip, stack, frame) -> bool:
         """Does the interpreter state right before injectable site ``g``
         equal golden's?  Frames compare live temps only."""
-        e = self.entries[g]
+        e = self._entry(g)
+        if e is None:
+            return False
         mem = ip.memory
         gframes = e.frames
         if (ip.dyn_total != e.dyn_total or ip.sp != e.sp
@@ -411,7 +487,7 @@ def verify_reconvergence(
     run_injection_suite(
         layer, samples, max_steps, module=module, layout=layout,
         program=program, emit=results.__setitem__, dispatch=dispatch,
-        fault_model=fm, stats=stats, reconverge=True, ledger_config=config)
+        fault_model=fm, stats=stats, ledger_config=config)
     violations = []
     early = 0
     for (idx, b), res in sorted(results.items()):

@@ -359,6 +359,7 @@ def run_stratified_campaign(
     dispatch: Optional[str] = None,
     fault_model: Optional[str] = None,
     pilot: int = DEFAULT_PILOT,
+    ledger_config=None,
 ) -> StratifiedResult:
     """Stratified campaign over the bit-liveness site classes.
 
@@ -369,7 +370,8 @@ def run_stratified_campaign(
     campaign is deterministic and a stratum's samples never depend on
     the other strata's sizes.  With ``config.prune`` benign draws
     inside each stratum resolve statically, exactly as in the uniform
-    path.
+    path.  ``ledger_config`` sizes the engine's golden state ledger
+    (:func:`repro.fi.engine.run_injection_suite`).
     """
     fm = validate_fault_model(fault_model)
     if fm == "cf":
@@ -476,7 +478,8 @@ def run_stratified_campaign(
             run_injection_suite(
                 layer, tagged_live, max_steps, module=module,
                 layout=layout, program=program, emit=emit, dispatch=tier,
-                fault_model=fm, stats=engine_steps)
+                fault_model=fm, stats=engine_steps,
+                ledger_config=ledger_config)
         else:
             for tag, idx, bit in tagged_live:
                 if layer == "ir":

@@ -324,7 +324,8 @@ class IRInterpreter:
             ret, status, trap = None, RunStatus.OK, None
             early = True
         except Reconverged as r:
-            ret, status, trap = ledger.golden_return, RunStatus.OK, None
+            golden_output, ret = ledger.golden()
+            status, trap = RunStatus.OK, None
             reconverged = r.index
         except FaultDetected:
             ret, status, trap = None, RunStatus.DETECTED, None
@@ -362,7 +363,7 @@ class IRInterpreter:
         return ExecResult(
             status=status,
             output=("".join(self.outputs) if reconverged is None
-                    else ledger.golden_output),
+                    else golden_output),
             dyn_total=self.dyn_total,
             dyn_injectable=self.dyn_injectable,
             trap_kind=trap,

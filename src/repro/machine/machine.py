@@ -491,6 +491,7 @@ class AsmMachine:
         except Reconverged as r:
             status, trap = RunStatus.OK, None
             reconverged = r.index
+            golden_output, _ = ledger.golden()
         except FaultDetected:
             status, trap = RunStatus.DETECTED, None
         except SimTrap as t:
@@ -536,7 +537,7 @@ class AsmMachine:
         return ExecResult(
             status=status,
             output=("".join(self.outputs) if reconverged is None
-                    else ledger.golden_output),
+                    else golden_output),
             dyn_total=self.dyn_total,
             dyn_injectable=self.dyn_injectable,
             trap_kind=trap,

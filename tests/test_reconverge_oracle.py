@@ -12,15 +12,13 @@ exact.  This suite proves it the hard way:
   draw is re-run as a full naive execution and must agree on outcome,
   iid, asm index/role/opcode and trap kind;
 * **signature invariance** — hypothesis property: for any generated
-  program, campaign signatures are identical with reconvergence on and
-  off, at both layers and under every fault model;
+  program, campaign signatures with reconvergence are identical to the
+  naive re-execution path's, at both layers and under every fault
+  model;
 * **ledger mechanics** — page-versioned images, grid thinning under
   the byte budget, the second streaming pass for targets past the
-  budget, and exact step accounting.
+  budget, the lazy tail pass, and exact step accounting.
 """
-
-import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,8 +33,8 @@ from repro.fi.engine import run_injection_suite
 from repro.fi.ledger import (
     EXHAUSTIVE,
     GoldenLedger,
+    OFF,
     LedgerConfig,
-    reconverge_enabled,
     verify_reconvergence,
 )
 from repro.frontend.codegen import compile_source
@@ -75,19 +73,6 @@ def witness_builds():
         "reconverge": _build(
             compile_source(RECONVERGE_WITNESS_SOURCE, "rw"), False),
     }
-
-
-@contextmanager
-def _reconverge(value: str):
-    prev = os.environ.get("REPRO_RECONVERGE")
-    os.environ["REPRO_RECONVERGE"] = value
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_RECONVERGE", None)
-        else:
-            os.environ["REPRO_RECONVERGE"] = prev
 
 
 # -- exhaustive oracle --------------------------------------------------
@@ -163,14 +148,13 @@ def test_reconvergence_never_changes_a_campaign(prog, fault_model,
     cfg = CampaignConfig(n_campaigns=30, seed=prog.seed & 0xFFFF)
     for layer in ("ir", "asm"):
         sigs = []
-        for value in ("0", "1"):
-            with _reconverge(value):
-                if layer == "ir":
-                    res = run_ir_campaign(module, cfg, layout,
-                                          fault_model=fault_model)
-                else:
-                    res = run_asm_campaign(compiled, layout, cfg,
-                                           fault_model=fault_model)
+        for engine in (False, True):
+            if layer == "ir":
+                res = run_ir_campaign(module, cfg, layout, engine=engine,
+                                      fault_model=fault_model)
+            else:
+                res = run_asm_campaign(compiled, layout, cfg, engine=engine,
+                                       fault_model=fault_model)
             sigs.append(campaign_signature(res))
         assert sigs[0] == sigs[1], (layer, fault_model)
 
@@ -195,9 +179,8 @@ def test_reconverged_result_shape(witness_builds, layer):
     build = witness_builds["carry"]
     golden, _, _ = _suite(build, layer, [])
     samples = [(i, i, 5) for i in range(0, golden.dyn_injectable, 3)]
-    _, on, stats = _suite(build, layer, samples, reconverge=True,
-                          ledger_config=EXHAUSTIVE)
-    _, off, off_stats = _suite(build, layer, samples, reconverge=False)
+    _, on, stats = _suite(build, layer, samples, ledger_config=EXHAUSTIVE)
+    _, off, off_stats = _suite(build, layer, samples, ledger_config=OFF)
     early = [t for t, r in on.items() if "reconverged" in r.extra]
     assert early
     for t in early:
@@ -228,14 +211,6 @@ def test_ledger_requires_an_engine_tier(witness_builds):
     # without an injection there is nothing to reconverge from
     res = IRInterpreter(module, layout=layout).run(ledger=ledger)
     assert res.status is RunStatus.OK and "reconverged" not in res.extra
-
-
-def test_switch(monkeypatch):
-    monkeypatch.delenv("REPRO_RECONVERGE", raising=False)
-    assert reconverge_enabled() is True
-    monkeypatch.setenv("REPRO_RECONVERGE", "0")
-    assert reconverge_enabled() is False
-    assert reconverge_enabled(True) is True
 
 
 # -- ledger mechanics ----------------------------------------------------
@@ -274,7 +249,7 @@ def test_budget_thins_the_grid(witness_builds, layer):
     build = witness_builds["reconverge"]
     golden, _, _ = _suite(build, layer, [])
     samples = [(i, i, 3) for i in range(0, golden.dyn_injectable, 7)]
-    _, off, _ = _suite(build, layer, samples, reconverge=False)
+    _, off, _ = _suite(build, layer, samples, ledger_config=OFF)
     tight = LedgerConfig(budget=256 * 1024, points=8, spacing=1)
     seen = []
     orig = GoldenLedger.finish
@@ -285,8 +260,7 @@ def test_budget_thins_the_grid(witness_builds, layer):
 
     GoldenLedger.finish = spy
     try:
-        _, on, stats = _suite(build, layer, samples, reconverge=True,
-                              ledger_config=tight)
+        _, on, stats = _suite(build, layer, samples,     ledger_config=tight)
     finally:
         GoldenLedger.finish = orig
     (ledger,) = seen
@@ -308,16 +282,91 @@ def test_targets_past_the_budget_stream_again(witness_builds, layer):
     build = witness_builds["reconverge"]
     golden, _, _ = _suite(build, layer, [])
     samples = [(i, i, 1) for i in range(1, golden.dyn_injectable, 5)]
-    _, off, _ = _suite(build, layer, samples, reconverge=False)
+    _, off, _ = _suite(build, layer, samples, ledger_config=OFF)
     tiny = LedgerConfig(budget=64 * 1024, spacing=4)
-    _, on, stats = _suite(build, layer, samples, reconverge=True,
-                          ledger_config=tiny)
+    _, on, stats = _suite(build, layer, samples, ledger_config=tiny)
     assert stats["golden_steps"] > golden.dyn_total
     assert stats["replays"] == len(samples)
     for t, r in on.items():
         assert (r.status, r.output, r.injected_iid, r.trap_kind) == \
             (off[t].status, off[t].output, off[t].injected_iid,
              off[t].trap_kind)
+
+
+@pytest.mark.parametrize("layer", ["ir", "asm"])
+def test_tail_pass_completes_golden_exactly_once(witness_builds, layer):
+    """The golden pass ends at the last target, as without a ledger; a
+    replay that reconverges makes one tail pass run the rest of the
+    golden trace, so the golden steps add up to one full run."""
+    build = witness_builds["reconverge"]
+    golden, _, _ = _suite(build, layer, [])
+    samples = [(i, i, 5)
+               for i in range(0, golden.dyn_injectable // 2, 3)]
+    _, off, off_stats = _suite(build, layer, samples, ledger_config=OFF)
+    _, on, on_stats = _suite(build, layer, samples)
+    assert on_stats["reconverged"] > 0
+    assert off_stats["golden_steps"] < golden.dyn_total
+    assert on_stats["golden_steps"] == golden.dyn_total
+    for t, r in on.items():
+        assert (r.status, r.output, r.injected_iid, r.trap_kind) == \
+            (off[t].status, off[t].output, off[t].injected_iid,
+             off[t].trap_kind)
+
+
+@pytest.mark.parametrize("layer", ["ir", "asm"])
+def test_replays_that_end_early_skip_the_tail(witness_builds, layer):
+    """A replay that traps or is detected before it reaches the end of
+    the recorded golden prefix never makes the tail pass run: the suite
+    simulates exactly what the engine without a ledger does."""
+    build = witness_builds["gen3-dup"]
+    golden, _, _ = _suite(build, layer, [])
+    tried = 0
+    for t in range(1, golden.dyn_injectable, 7):
+        for bit in (0, 3, 7):
+            sample = [(0, t, bit)]
+            _, off, off_stats = _suite(build, layer, sample,
+                                       ledger_config=OFF)
+            res = off[0]
+            # the first lattice point past the target (the ledger's
+            # spacing for a single target)
+            sp = max(16, t // 64)
+            if (res.status not in (RunStatus.DETECTED, RunStatus.TRAP)
+                    or res.dyn_injectable >= (t // sp + 1) * sp):
+                continue
+            _, on, on_stats = _suite(build, layer, sample)
+            assert on_stats["golden_steps"] == off_stats["golden_steps"]
+            assert on_stats.get("reconverged", 0) == 0
+            assert on[0].status is res.status
+            tried += 1
+    assert tried > 0
+
+
+@pytest.mark.parametrize("layer", ["ir", "asm"])
+def test_ledger_dies_with_its_suite(witness_builds, layer, monkeypatch):
+    """Nothing outlives a suite in a reference cycle: its ledger (every
+    grid page and held snapshot) is freed when the suite returns, not
+    at the next garbage collection."""
+    import gc
+    import weakref
+
+    refs = []
+    orig = GoldenLedger.__init__
+
+    def init(self, *a, **kw):
+        orig(self, *a, **kw)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(GoldenLedger, "__init__", init)
+    build = witness_builds["reconverge"]
+    golden, _, _ = _suite(build, layer, [])
+    samples = [(i, i, 5) for i in range(0, golden.dyn_injectable // 2, 3)]
+    gc.disable()
+    try:
+        _, _, stats = _suite(build, layer, samples)
+        assert stats["reconverged"] > 0     # the tail pass ran
+        assert refs and all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 def test_ir_live_temps_drop_dead_values(witness_builds):
