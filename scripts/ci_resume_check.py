@@ -46,12 +46,14 @@ def _cli_env() -> dict:
 
 
 def _journal_rows(path: str) -> int:
+    """Complete ``row`` lines in the journal, classified by decoding each
+    line, so the count does not depend on how a writer spells them."""
     if not os.path.exists(path):
         return 0
     rows = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            if line.startswith('{"ev": "row"') and line.endswith("\n"):
+            if line.endswith("\n") and json.loads(line).get("ev") == "row":
                 rows += 1
     return rows
 

@@ -22,6 +22,7 @@ Run from the repository root (CI does)::
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import signal
@@ -55,12 +56,14 @@ def _config() -> CampaignConfig:
 
 
 def _store_rows(path: str) -> int:
+    """Complete ``row`` lines in the store, classified by decoding each
+    line, so the count does not depend on how a writer spells them."""
     if not os.path.exists(path):
         return 0
     rows = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            if line.startswith('{"ev": "row"') and line.endswith("\n"):
+            if line.endswith("\n") and json.loads(line).get("ev") == "row":
                 rows += 1
     return rows
 

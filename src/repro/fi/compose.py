@@ -55,6 +55,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import socket
 import time
 import warnings
@@ -70,11 +71,13 @@ from .campaign import (
 from .engine import engine_dispatch, run_injection_suite
 from .journal import (
     FileLock,
+    JournalLine,
     QuarantineLog,
     append_doc,
+    check_line,
+    encode_line,
     fsync_dir,
     scan_jsonl,
-    seal_doc,
 )
 from .outcomes import Outcome
 from .resilience import (
@@ -263,14 +266,219 @@ class SectionProfile:
 
     @classmethod
     def from_doc(cls, key: str, doc: Dict) -> "SectionProfile":
+        counts = doc["counts"]
         return cls(
             key=key,
             name=doc["name"],
             content_hash=doc["content"],
             n=doc["n"],
-            counts={o: doc["counts"].get(o.value, 0) for o in Outcome},
+            counts={o: counts.get(v, 0) for o, v in _OUTCOME_VALUES},
             site_count=doc["sites"],
         )
+
+
+#: (outcome, its stored name) pairs: stores decode a profile on every
+#: cache hit, and iterating the enum costs more than the lookups
+_OUTCOME_VALUES = tuple((o, o.value) for o in Outcome)
+
+
+# ---------------------------------------------------------------------------
+# the store index: one pass over verified lines, decode on read
+# ---------------------------------------------------------------------------
+
+#: event kinds filed under a profile key
+_KEYED = ("row", "profile", "claim", "release")
+_EV_OF = {ev.encode(): ev for ev in _KEYED}
+#: where a checksum-verified canonical line carries its event kind and
+#: key: sorted keys put ``"ev"`` first and ``"k"`` next, after only the
+#: integer ``"i"`` of a row.  Lines that do not match are decoded.
+_HEAD = re.compile(
+    rb'\{"ev":"(row|profile|claim|release)",(?:"i":-?\d+,)?'
+    rb'"k":"([^"\\]*)"[,}]')
+
+
+def _doc_of(entry) -> Dict:
+    """A pending entry's document: raw verified bytes decode here."""
+    return entry if isinstance(entry, dict) else JournalLine(entry).doc()
+
+
+#: sorted keys make ``"profile"`` the last field of a canonical commit
+#: line, after the key preimage ``"kd"`` that is most of its bytes
+_PROFILE_AT = b',"profile":'
+
+
+def _profile_from(key: str, entry) -> Optional[SectionProfile]:
+    """The profile a commit event carries, or None if malformed.
+
+    A cache hit decodes only the profile object, sliced out of a
+    checksum-verified canonical line; anything else is decoded whole.
+    """
+    body = None
+    if not isinstance(entry, dict):
+        at = entry.rfind(_PROFILE_AT)
+        if at > 0:
+            try:
+                body = json.loads(entry[at + len(_PROFILE_AT):
+                                        entry.rfind(b',"c":')].decode())
+            except ValueError:
+                body = None
+    if body is None:
+        doc = _doc_of(entry)
+        if doc.get("k") != key:
+            return None
+        body = doc.get("profile")
+    try:
+        return SectionProfile.from_doc(key, body)
+    except (KeyError, TypeError, AttributeError):
+        return None
+
+
+class _Slot:
+    """One key's state: what its events say so far, plus the verified
+    lines filed under it that nothing has read yet (in file order)."""
+
+    __slots__ = ("evs", "pending", "profile", "profile_entry", "rows",
+                 "claim")
+
+    def __init__(self) -> None:
+        #: kinds and lines not folded into the state below yet: the raw
+        #: bytes of a line checked without decoding, else its document
+        self.evs: List[str] = []
+        self.pending: List[object] = []
+        #: latest well-formed profile and the commit line carrying it
+        self.profile: Optional[SectionProfile] = None
+        self.profile_entry: object = None
+        #: rows after that profile: (plan n, local i) -> row
+        self.rows: Dict[Tuple[int, int], Tuple] = {}
+        #: latest claim not cleared by a profile or its owner's release
+        self.claim: Optional[Dict] = None
+
+
+class _StoreIndex:
+    """Latest-wins view of a store file, built in one cheap pass.
+
+    :meth:`add` files each verified line under its key — for a canonical
+    line by slicing the key out of the raw bytes, which is safe only
+    because the scan already matched the line's checksum — and decodes
+    nothing but headers.  :meth:`resolve` folds a key's pending lines
+    when something reads the key.  Folding walks back to the newest
+    well-formed profile first: it clears everything before it, so rows
+    of committed keys are never decoded.  Every event affects only its
+    own key, so per-key folding in file order is exactly a sequential
+    replay of the whole file:
+
+    * ``row`` — well-formed rows are kept per (n, i), latest wins;
+    * ``profile`` — a well-formed one supersedes the profile, clears
+      rows and the claim; a malformed one is treated as absent;
+    * ``claim`` — latest wins;
+    * ``release`` — clears the claim only if the owners match.
+    """
+
+    def __init__(self) -> None:
+        self.slots: Dict[str, _Slot] = {}
+        #: the first header document, and the first foreign schema seen
+        self.header: Optional[Dict] = None
+        self.bad_schema: Optional[object] = None
+        self.events = {"header": 0, "row": 0, "profile": 0,
+                       "claim": 0, "release": 0, "other": 0}
+
+    def add(self, line: JournalLine) -> None:
+        """Scan callback: file one verified line."""
+        doc = line.parsed
+        m = _HEAD.match(line.raw) if doc is None else None
+        if m is not None:
+            ev = _EV_OF[m.group(1)]
+            key = m.group(2).decode("ascii")
+            entry = line.raw
+        else:
+            doc = entry = line.doc()
+            ev, key = doc.get("ev"), doc.get("k")
+            if ev == "header":
+                self._header(doc)
+        if ev in _KEYED:
+            self.events[ev] += 1
+            if isinstance(key, str):
+                slot = self.slots.get(key)
+                if slot is None:
+                    slot = self.slots[key] = _Slot()
+                slot.evs.append(ev)
+                slot.pending.append(entry)
+        elif ev == "header":
+            self.events["header"] += 1
+        else:
+            self.events["other"] += 1
+
+    def add_doc(self, doc: Dict) -> None:
+        """File a document this process wrote (or would have written)."""
+        self.add(JournalLine(b"", doc))
+
+    def _header(self, doc: Dict) -> None:
+        if self.header is None:
+            self.header = doc
+        if doc.get("schema") != STORE_SCHEMA and self.bad_schema is None:
+            self.bad_schema = doc.get("schema")
+
+    def resolve(self, key: str) -> Optional[_Slot]:
+        """``key``'s state with every filed line folded in."""
+        slot = self.slots.get(key)
+        if slot is None or not slot.pending:
+            return slot
+        evs, pending = slot.evs, slot.pending
+        slot.evs, slot.pending = [], []
+        start = 0
+        for j in range(len(pending) - 1, -1, -1):
+            if evs[j] != "profile":
+                continue
+            profile = _profile_from(key, pending[j])
+            if profile is not None:
+                slot.profile, slot.profile_entry = profile, pending[j]
+                slot.rows = {}
+                slot.claim = None
+                start = j + 1
+                break
+        for j in range(start, len(pending)):
+            ev = evs[j]
+            if ev == "profile":
+                continue                # malformed: folded as absent
+            doc = _doc_of(pending[j])
+            if doc.get("k") != key:
+                continue
+            if ev == "row":
+                row = doc.get("row")
+                if isinstance(doc.get("i"), int) and \
+                        isinstance(doc.get("n"), int) and \
+                        isinstance(row, list) and \
+                        len(row) == len(ROW_FIELDS):
+                    slot.rows[(doc["n"], doc["i"])] = tuple(row)
+            elif ev == "claim":
+                slot.claim = doc
+            elif slot.claim is not None and \
+                    slot.claim.get("owner") == doc.get("owner"):
+                slot.claim = None       # the owner's release
+        return slot
+
+    def resolved(self) -> List[Tuple[str, _Slot]]:
+        """Every key's folded state (decodes whatever is pending)."""
+        return [(key, self.resolve(key)) for key in self.slots]
+
+    def counts(self) -> Dict[str, int]:
+        """Whole-store state counters (folds every key)."""
+        slots = [s for _k, s in self.resolved()]
+        return {
+            "profiles": sum(s.profile is not None for s in slots),
+            "partial_keys": sum(bool(s.rows) for s in slots),
+            "partial_rows": sum(len(s.rows) for s in slots),
+            "claims": sum(s.claim is not None for s in slots),
+        }
+
+    def drop_claims(self) -> None:
+        """Forget every claim, filed or folded (private mode)."""
+        for slot in self.slots.values():
+            slot.claim = None
+            kept = [(ev, entry) for ev, entry in zip(slot.evs, slot.pending)
+                    if ev not in ("claim", "release")]
+            slot.evs = [ev for ev, _entry in kept]
+            slot.pending = [entry for _ev, entry in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -281,28 +489,35 @@ class SectionProfileStore:
     """Journal-backed content-addressed section-profile cache, safe for
     concurrent multi-process use.
 
-    Schema (one JSON object per line; shared by many campaigns)::
+    Schema (one JSON object per line; shared by many campaigns).  Each
+    line is the canonical encoding — sorted keys, compact separators —
+    with the checksum ``"c"`` spliced in last::
 
-        {"ev": "header", "version": 2, "schema": "section-profile/1", "c": …}
-        {"ev": "row", "k": <profile key>, "n": <plan sample count>,
-         "i": <local sample index>,
-         "row": [idx, bit, status, output, iid, asm_index, asm_role,
-                 asm_opcode, trap_kind, fault_model], "c": …}
-        {"ev": "profile", "k": <key>, "kd": <key preimage>,
-         "profile": {...}, "c": …}
-        {"ev": "claim", "k": <key>, "n": <plan n>,
-         "owner": "host:pid:token", "ts": <epoch>, "ttl": <sec>, "c": …}
-        {"ev": "release", "k": <key>, "owner": "host:pid:token", "c": …}
+        {"ev":"header","schema":"section-profile/1","version":2,"c":…}
+        {"ev":"row","i":<local sample index>,"k":<profile key>,
+         "n":<plan sample count>,
+         "row":[idx,bit,status,output,iid,asm_index,asm_role,
+                asm_opcode,trap_kind,fault_model,pruned],"c":…}
+        {"ev":"profile","k":<key>,"kd":<key preimage>,"profile":{…},"c":…}
+        {"ev":"claim","k":<key>,"n":<plan n>,"owner":"host:pid:token",
+         "ts":<epoch>,"ttl":<sec>,"c":…}
+        {"ev":"release","k":<key>,"owner":"host:pid:token","c":…}
 
     Rows are fsync'd per append (the InjectionJournal discipline), so a
     ``SIGKILL`` at any point leaves all fully classified injections on
     disk plus at most one torn trailing line, which the loader
-    discards.  Every line carries a CRC32 checksum (``"c"``, appended
-    last so the ``{"ev": …`` prefix stays greppable); a complete line
-    that fails its checksum or does not parse is quarantined to
+    discards.  Every line carries a CRC32 checksum (``"c"``); a complete
+    line that fails its checksum or does not parse is quarantined to
     ``<path>.quarantine`` and skipped — corruption never crashes a
-    campaign and never shadows later valid lines.  Legacy v1 lines
-    without a checksum load as before.
+    campaign and never shadows later valid lines.  Lines from older
+    writers (spaced separators, or v1 lines without a checksum) load
+    as before.
+
+    Opening a store is one pass over its bytes: every line is
+    checksummed, but documents are decoded only when read — a profile
+    on :meth:`get`, rows on :meth:`partial_rows` (and never for a key
+    with a later committed profile), claims when the claim logic looks
+    at them (:class:`_StoreIndex`).
 
     A ``profile`` line marks the section complete; rows without one are
     a partial sub-campaign the next run resumes.  Rows carry the plan's
@@ -325,11 +540,7 @@ class SectionProfileStore:
     def __init__(self, path: str, *, lock_timeout: Optional[float] = None,
                  claim_ttl: Optional[float] = None):
         self.path = path
-        self.profiles: Dict[str, SectionProfile] = {}
-        #: partial (uncommitted) rows: key -> {(plan n, local i): row}
-        self.partial: Dict[str, Dict[Tuple[int, int], Tuple]] = {}
-        #: live claim docs by key (latest wins; profile/release clears)
-        self.claims: Dict[str, Dict] = {}
+        self._index = _StoreIndex()
         self.claim_ttl = (claim_ttl if claim_ttl is not None
                           else _env_float(_CLAIM_TTL_ENV, CLAIM_TTL))
         self.noop_commits_skipped = 0
@@ -344,7 +555,6 @@ class SectionProfileStore:
         self._owner = f"{self._host}:{os.getpid()}:{self._token}"
         #: claims held by this handle: key -> last heartbeat time
         self._my_claims: Dict[str, float] = {}
-        self._header_seen = False
         self._offset = 0
         self._fh = None
         self._quarantine = QuarantineLog(path)
@@ -354,7 +564,7 @@ class SectionProfileStore:
                 exists = os.path.exists(path) and os.path.getsize(path) > 0
                 if exists:
                     self._scan_from(0)
-                    if not self._header_seen:
+                    if self._index.header is None:
                         raise CampaignError(
                             f"store {self.path!r} has no readable header")
                 else:
@@ -364,11 +574,10 @@ class SectionProfileStore:
                 # so an unreadable/mismatched store cannot leak the fd
                 self._fh = open(path, "a", encoding="utf-8")
                 if not exists:
-                    append_doc(self._fh, {
-                        "ev": "header", "version": STORE_VERSION,
-                        "schema": STORE_SCHEMA,
-                    })
-                    self._header_seen = True
+                    header = {"ev": "header", "version": STORE_VERSION,
+                              "schema": STORE_SCHEMA}
+                    append_doc(self._fh, header)
+                    self._index.add_doc(header)
                     self._offset = os.fstat(self._fh.fileno()).st_size
         except StoreLockTimeout as exc:
             self._degrade(f"lock acquisition failed: {exc}")
@@ -392,49 +601,21 @@ class SectionProfileStore:
         if self._lock.held:
             self._lock.release()
         self._my_claims.clear()
-        self.claims.clear()
+        self._index.drop_claims()
         warnings.warn(
             f"shared profile store {self.path!r} degraded to private "
             f"(in-memory) mode: {reason}; results of this campaign will "
             f"not be shared", RuntimeWarning, stacklevel=3)
 
-    # -- scanning / ingest ----------------------------------------------
-
-    def _ingest(self, doc: Dict) -> None:
-        ev = doc.get("ev")
-        if ev == "header":
-            if doc.get("schema") != STORE_SCHEMA:
-                raise CampaignError(
-                    f"store {self.path!r} has schema "
-                    f"{doc.get('schema')!r}, expected {STORE_SCHEMA!r}")
-            self._header_seen = True
-        elif ev == "row":
-            row = doc.get("row")
-            if isinstance(doc.get("i"), int) and \
-                    isinstance(doc.get("n"), int) and \
-                    isinstance(row, list) and \
-                    len(row) == len(ROW_FIELDS):
-                self.partial.setdefault(
-                    doc["k"], {})[(doc["n"], doc["i"])] = tuple(row)
-        elif ev == "profile":
-            try:
-                self.profiles[doc["k"]] = SectionProfile.from_doc(
-                    doc["k"], doc["profile"])
-            except (KeyError, TypeError):
-                return              # malformed entry: treat as absent
-            self.partial.pop(doc["k"], None)
-            self.claims.pop(doc["k"], None)
-        elif ev == "claim":
-            if isinstance(doc.get("k"), str):
-                self.claims[doc["k"]] = doc
-        elif ev == "release":
-            claim = self.claims.get(doc.get("k"))
-            if claim is not None and claim.get("owner") == doc.get("owner"):
-                del self.claims[doc["k"]]
+    # -- scanning --------------------------------------------------------
 
     def _scan_from(self, start: int) -> None:
-        stats = scan_jsonl(self.path, self._ingest, start=start,
+        stats = scan_jsonl(self.path, self._index.add, start=start,
                            quarantine=self._quarantine)
+        if self._index.bad_schema is not None:
+            raise CampaignError(
+                f"store {self.path!r} has schema "
+                f"{self._index.bad_schema!r}, expected {STORE_SCHEMA!r}")
         self._offset = stats.offset
         self.scan_corrupt += stats.corrupt
         self.scan_crc_checked += stats.crc_checked
@@ -451,10 +632,7 @@ class SectionProfileStore:
             return
         self._fh.close()
         self._fh = open(self.path, "a", encoding="utf-8")
-        self.profiles.clear()
-        self.partial.clear()
-        self.claims.clear()
-        self._header_seen = False
+        self._index = _StoreIndex()
         self._offset = 0
         self._scan_from(0)
 
@@ -502,20 +680,43 @@ class SectionProfileStore:
     # -- reads ----------------------------------------------------------
 
     def get(self, key: str) -> Optional[SectionProfile]:
-        return self.profiles.get(key)
+        slot = self._index.resolve(key)
+        return slot.profile if slot is not None else None
 
     def partial_rows(self, key: str, n: int) -> Dict[int, Tuple]:
         """Journaled rows for ``key`` drawn under a plan of size ``n``."""
-        return {i: row
-                for (rn, i), row in self.partial.get(key, {}).items()
-                if rn == n}
+        slot = self._index.resolve(key)
+        if slot is None:
+            return {}
+        return {i: row for (rn, i), row in slot.rows.items() if rn == n}
+
+    def _claim(self, key: str) -> Optional[Dict]:
+        slot = self._index.resolve(key)
+        return slot.claim if slot is not None else None
+
+    # whole-store views (decode every key; for tools and tests)
+
+    @property
+    def profiles(self) -> Dict[str, SectionProfile]:
+        return {k: s.profile for k, s in self._index.resolved()
+                if s.profile is not None}
+
+    @property
+    def partial(self) -> Dict[str, Dict[Tuple[int, int], Tuple]]:
+        return {k: dict(s.rows) for k, s in self._index.resolved()
+                if s.rows}
+
+    @property
+    def claims(self) -> Dict[str, Dict]:
+        return {k: s.claim for k, s in self._index.resolved()
+                if s.claim is not None}
 
     # -- claims (multi-writer work dedup) --------------------------------
 
     def claim_of(self, key: str) -> Optional[Dict]:
         """The live foreign claim on ``key``, if any (stale claims and
         our own claims read as absent)."""
-        claim = self.claims.get(key)
+        claim = self._claim(key)
         if claim is None or claim.get("owner") == self._owner:
             return None
         if self.claim_is_stale(claim):
@@ -566,7 +767,7 @@ class SectionProfileStore:
         try:
             with self._lock.exclusive():
                 self._catch_up_locked()
-                cached = self.profiles.get(key)
+                cached = self.get(key)
                 if cached is not None and cached.n >= n:
                     return "served"
                 foreign = self.claim_of(key)
@@ -582,7 +783,7 @@ class SectionProfileStore:
         except OSError as exc:
             self._degrade(f"store unreachable: {exc}")
             return "mine"
-        self.claims[key] = claimed
+        self._index.add_doc(claimed)
         self._my_claims[key] = claimed["ts"]
         return "mine"
 
@@ -595,11 +796,11 @@ class SectionProfileStore:
         if now - last < self.claim_ttl / 2:
             return
         doc = {"ev": "claim", "k": key,
-               "n": self.claims.get(key, {}).get("n", 0),
+               "n": (self._claim(key) or {}).get("n", 0),
                "owner": self._owner, "ts": now, "ttl": self.claim_ttl}
         self._append(doc)
         if not self.degraded:
-            self.claims[key] = doc
+            self._index.add_doc(doc)
             self._my_claims[key] = now
 
     def release(self, key: str) -> None:
@@ -607,10 +808,9 @@ class SectionProfileStore:
         if key not in self._my_claims:
             return
         del self._my_claims[key]
-        claim = self.claims.get(key)
-        if claim is not None and claim.get("owner") == self._owner:
-            del self.claims[key]
-        self._append({"ev": "release", "k": key, "owner": self._owner})
+        doc = {"ev": "release", "k": key, "owner": self._owner}
+        self._append(doc)
+        self._index.add_doc(doc)
 
     def release_all(self) -> None:
         """Drop every claim this handle still holds (abort path)."""
@@ -621,9 +821,9 @@ class SectionProfileStore:
 
     def record_row(self, key: str, n: int, i: int, row: Tuple) -> None:
         """Durably checkpoint one classified injection."""
-        self._append({"ev": "row", "k": key, "n": n, "i": i,
-                      "row": list(row)})
-        self.partial.setdefault(key, {})[(n, i)] = tuple(row)
+        doc = {"ev": "row", "k": key, "n": n, "i": i, "row": list(row)}
+        self._append(doc)
+        self._index.add_doc(doc)
         self._heartbeat(key)
 
     def commit_profile(self, profile: SectionProfile,
@@ -635,11 +835,11 @@ class SectionProfileStore:
         bloat a shared journal — but still releases any claim we hold,
         since no profile event will do it for us.
         """
-        existing = self.profiles.get(profile.key)
+        slot = self._index.resolve(profile.key)
+        existing = slot.profile if slot is not None else None
         if existing is not None and existing.to_doc() == profile.to_doc():
             self.noop_commits_skipped += 1
-            self.profiles[profile.key] = profile
-            self.partial.pop(profile.key, None)
+            slot.rows = {}
             self.release(profile.key)
             return
         doc = {"ev": "profile", "k": profile.key,
@@ -647,11 +847,10 @@ class SectionProfileStore:
         if key_doc is not None:
             doc["kd"] = key_doc
         self._append(doc)
-        self.profiles[profile.key] = profile
-        self.partial.pop(profile.key, None)
-        # the profile event itself clears the claim for every reader
+        # the profile event itself clears rows and the claim for every
+        # reader, this one included
+        self._index.add_doc(doc)
         self._my_claims.pop(profile.key, None)
-        self.claims.pop(profile.key, None)
 
     # -- stats / lifecycle ----------------------------------------------
 
@@ -661,10 +860,7 @@ class SectionProfileStore:
             "path": self.path,
             "degraded": self.degraded,
             "degraded_reason": self.degraded_reason,
-            "profiles": len(self.profiles),
-            "partial_keys": len(self.partial),
-            "partial_rows": sum(len(v) for v in self.partial.values()),
-            "claims": len(self.claims),
+            **self._index.counts(),
             "noop_commits_skipped": self.noop_commits_skipped,
             "quarantined": self.scan_corrupt,
             "crc_checked": self.scan_crc_checked,
@@ -690,56 +886,11 @@ class SectionProfileStore:
 # store maintenance (repro store compact|verify|stats)
 # ---------------------------------------------------------------------------
 
-def _scan_state(path: str, *, quarantine: Optional[QuarantineLog] = None):
-    """One read-only pass over a store file: returns (state, ScanStats).
-
-    ``state`` mirrors the store's in-memory maps plus verification
-    extras (header doc, per-key latest profile doc with its ``kd``,
-    raw event counts).
-    """
-    state = {
-        "header": None,
-        "profiles": {},         # key -> profile event doc
-        "partial": {},          # key -> {(n, i): row doc}
-        "claims": {},           # key -> claim doc
-        "events": {"header": 0, "row": 0, "profile": 0,
-                   "claim": 0, "release": 0, "other": 0},
-    }
-
-    def ingest(doc: Dict) -> None:
-        ev = doc.get("ev")
-        if ev == "header":
-            state["events"]["header"] += 1
-            if state["header"] is None:
-                state["header"] = doc
-        elif ev == "row":
-            state["events"]["row"] += 1
-            row = doc.get("row")
-            if isinstance(doc.get("i"), int) and \
-                    isinstance(doc.get("n"), int) and isinstance(row, list):
-                state["partial"].setdefault(
-                    doc.get("k"), {})[(doc["n"], doc["i"])] = doc
-        elif ev == "profile":
-            state["events"]["profile"] += 1
-            if isinstance(doc.get("k"), str):
-                state["profiles"][doc["k"]] = doc
-                state["partial"].pop(doc["k"], None)
-                state["claims"].pop(doc["k"], None)
-        elif ev == "claim":
-            state["events"]["claim"] += 1
-            if isinstance(doc.get("k"), str):
-                state["claims"][doc["k"]] = doc
-        elif ev == "release":
-            state["events"]["release"] += 1
-            claim = state["claims"].get(doc.get("k"))
-            if claim is not None and \
-                    claim.get("owner") == doc.get("owner"):
-                del state["claims"][doc["k"]]
-        else:
-            state["events"]["other"] += 1
-
-    stats = scan_jsonl(path, ingest, quarantine=quarantine)
-    return state, stats
+def _load_index(path: str, *,
+                quarantine: Optional[QuarantineLog] = None):
+    """One read-only pass over a store file: ``(index, ScanStats)``."""
+    index = _StoreIndex()
+    return index, scan_jsonl(path, index.add, quarantine=quarantine)
 
 
 def _claim_live(claim: Dict) -> bool:
@@ -751,64 +902,79 @@ def _claim_live(claim: Dict) -> bool:
 
 
 def verify_store(path: str) -> Dict[str, object]:
-    """Recompute every line's CRC and every profile's key hash.
+    """Re-check every line and recompute every key hash.
 
-    Returns a report dict; ``report["ok"]`` is True iff no corrupt
-    lines, no checksum failures and no key-hash mismatches were found.
-    (Lines without a checksum are legacy v1 writers — reported, not
-    errors.)  Never raises on corruption: corruption is the condition
-    being reported.
+    Unlike an open, verification is exhaustive: every line is decoded
+    and re-serialized to re-check its checksum (:func:`check_line`),
+    and every profile commit's key is recomputed from its stored key
+    preimage.  Returns a report dict; ``report["ok"]`` is True iff no
+    corrupt lines, no checksum failures and no key-hash mismatches
+    were found.  (Lines without a checksum are legacy v1 writers —
+    reported, not errors.)  Never raises on corruption: corruption is
+    the condition being reported.
     """
     if not os.path.exists(path):
         raise CampaignError(f"store {path!r} does not exist")
-    state, stats = _scan_state(path)
-    key_mismatches = []
+    index = _StoreIndex()
+    failed = 0
     keys_checked = 0
-    for key, doc in state["profiles"].items():
+    key_mismatches = set()
+
+    def recheck(line: JournalLine) -> None:
+        nonlocal failed, keys_checked
+        index.add(line)
+        doc, reason, _ = (line.parsed, None, True) \
+            if line.parsed is not None else check_line(line.raw)
+        if reason is not None:
+            failed += 1
+            return
         kd = doc.get("kd")
-        if kd is None:
-            continue            # pre-v2 commit: no preimage to check
-        keys_checked += 1
-        if key_from_doc(kd) != key:
-            key_mismatches.append(key)
-    header = state["header"]
-    schema_ok = bool(header) and header.get("schema") == STORE_SCHEMA
-    report = {
+        if doc.get("ev") == "profile" and kd is not None:
+            keys_checked += 1
+            if key_from_doc(kd) != doc.get("k"):
+                key_mismatches.add(doc.get("k"))
+
+    stats = scan_jsonl(path, recheck)
+    counts = index.counts()
+    schema_ok = index.header is not None and index.bad_schema is None
+    corrupt = stats.corrupt + failed
+    return {
         "path": path,
         "bytes": os.path.getsize(path),
         "docs": stats.docs,
-        "corrupt": stats.corrupt,
+        "corrupt": corrupt,
         "crc_checked": stats.crc_checked,
         "crc_missing": stats.crc_missing,
         "torn_tail": stats.torn_tail,
         "schema_ok": schema_ok,
-        "profiles": len(state["profiles"]),
-        "partial_keys": len(state["partial"]),
+        "profiles": counts["profiles"],
+        "partial_keys": counts["partial_keys"],
         "keys_checked": keys_checked,
-        "key_mismatches": key_mismatches,
-        "ok": (stats.corrupt == 0 and not key_mismatches and schema_ok),
+        "key_mismatches": sorted(map(str, key_mismatches)),
+        "ok": corrupt == 0 and not key_mismatches and schema_ok,
     }
-    return report
 
 
 def store_stats(path: str) -> Dict[str, object]:
     """Event and liveness counters for one store file (read-only)."""
     if not os.path.exists(path):
         raise CampaignError(f"store {path!r} does not exist")
-    state, stats = _scan_state(path)
-    live = {k: c for k, c in state["claims"].items() if _claim_live(c)}
+    index, stats = _load_index(path)
+    counts = index.counts()
+    live = sum(_claim_live(s.claim) for _k, s in index.resolved()
+               if s.claim is not None)
     return {
         "path": path,
         "bytes": os.path.getsize(path),
         "docs": stats.docs,
         "corrupt": stats.corrupt,
         "crc_missing": stats.crc_missing,
-        "events": state["events"],
-        "profiles": len(state["profiles"]),
-        "partial_keys": len(state["partial"]),
-        "partial_rows": sum(len(v) for v in state["partial"].values()),
-        "claims_live": len(live),
-        "claims_stale": len(state["claims"]) - len(live),
+        "events": index.events,
+        "profiles": counts["profiles"],
+        "partial_keys": counts["partial_keys"],
+        "partial_rows": counts["partial_rows"],
+        "claims_live": live,
+        "claims_stale": counts["claims"] - live,
     }
 
 
@@ -817,44 +983,49 @@ def compact_store(path: str, *,
     """Rewrite a store to its live content, atomically, under the lock.
 
     Keeps: one fresh header, the latest profile per key, partial rows
-    of keys without a committed profile, and live (unexpired) claims.
-    Drops: superseded profiles, rows shadowed by commits, released and
-    expired claims, corrupt lines (already quarantined by the scan).
-    The new journal is written to a temp file, fsync'd and renamed over
-    the old one while holding the exclusive lock, so concurrent stores
-    never observe a partial rewrite — their next locked append detects
-    the rotated inode and rescans.
+    of keys without a committed profile, and live (unexpired) claims —
+    exactly the state an open store folds the file into.  Drops:
+    superseded and malformed profiles, rows shadowed by commits,
+    released and expired claims, corrupt lines (already quarantined by
+    the scan).  Every line is rewritten in the canonical form, so
+    compaction also turns a legacy store into one that opens without
+    decoding.  The new journal is written to a temp file, fsync'd and
+    renamed over the old one while holding the exclusive lock, so
+    concurrent stores never observe a partial rewrite — their next
+    locked append detects the rotated inode and rescans.
     """
     if not os.path.exists(path):
         raise CampaignError(f"store {path!r} does not exist")
     lock = FileLock(path + ".lock", timeout=lock_timeout)
     with lock.exclusive():
         before = os.path.getsize(path)
-        state, stats = _scan_state(path, quarantine=QuarantineLog(path))
-        header = state["header"]
-        if header is None or header.get("schema") != STORE_SCHEMA:
+        index, stats = _load_index(path, quarantine=QuarantineLog(path))
+        if index.header is None or index.bad_schema is not None:
             raise CampaignError(
                 f"store {path!r} has no valid header; refusing to compact")
+        slots = sorted(index.resolved())
+        counts = index.counts()
+        live_claims = [(k, s.claim) for k, s in slots
+                       if s.claim is not None and _claim_live(s.claim)]
         tmp = path + ".compact.tmp"
-        live_claims = {k: c for k, c in state["claims"].items()
-                       if _claim_live(c)}
         kept = 0
         with open(tmp, "w", encoding="utf-8") as fh:
             def put(doc: Dict) -> None:
                 nonlocal kept
-                fh.write(json.dumps(seal_doc(doc)) + "\n")
+                fh.write(encode_line(doc))
                 kept += 1
 
             put({"ev": "header", "version": STORE_VERSION,
                  "schema": STORE_SCHEMA})
-            for key in sorted(state["profiles"]):
-                put(state["profiles"][key])
-            for key in sorted(state["partial"]):
-                rows = state["partial"][key]
-                for (_n, _i) in sorted(rows):
-                    put(rows[(_n, _i)])
-            for key in sorted(live_claims):
-                put(live_claims[key])
+            for _key, slot in slots:
+                if slot.profile_entry is not None:
+                    put(_doc_of(slot.profile_entry))
+            for key, slot in slots:
+                for (n, i), row in sorted(slot.rows.items()):
+                    put({"ev": "row", "k": key, "n": n, "i": i,
+                         "row": list(row)})
+            for _key, claim in live_claims:
+                put(claim)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -868,8 +1039,8 @@ def compact_store(path: str, *,
         "docs_after": kept,
         "dropped": stats.docs - kept,
         "corrupt_dropped": stats.corrupt,
-        "profiles": len(state["profiles"]),
-        "partial_keys": len(state["partial"]),
+        "profiles": counts["profiles"],
+        "partial_keys": counts["partial_keys"],
         "claims_kept": len(live_claims),
     }
 

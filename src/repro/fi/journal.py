@@ -11,9 +11,13 @@ concurrently (DESIGN §16):
 
 * **Per-line CRC32 checksums** — every appended document carries a
   ``"c"`` field: the CRC32 of its canonical JSON serialization without
-  that field.  Documents written before checksums existed simply lack
-  the field and load as before, so v1 journals and stores remain
-  readable.
+  that field.  Each line is written as exactly that canonical encoding
+  with ``,"c":N`` spliced in before the closing brace, so opening a
+  file checks every line with one CRC over its raw bytes and decodes
+  nothing until a consumer reads it.  Lines from older writers (spaced
+  separators, insertion order) fall back to decode-and-re-serialize;
+  documents written before checksums existed simply lack the field
+  and load as before, so v1 journals and stores remain readable.
 
 * **Corrupt-line quarantine** — a *complete* line (newline-terminated)
   that fails to parse or fails its checksum is not a torn tail: it is
@@ -43,9 +47,10 @@ import json
 import os
 import time
 import zlib
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Tuple
 
 from ..errors import StoreLockTimeout
 
@@ -57,10 +62,13 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "CRC_FIELD",
     "FileLock",
+    "JournalLine",
     "QuarantineLog",
     "ScanStats",
     "append_doc",
     "canonical_crc",
+    "check_line",
+    "encode_line",
     "fsync_dir",
     "scan_jsonl",
     "seal_doc",
@@ -95,6 +103,12 @@ def _env_lock_timeout() -> float:
 # checksummed documents
 # ---------------------------------------------------------------------------
 
+def _canonical(doc: dict) -> str:
+    if CRC_FIELD in doc:
+        doc = {k: v for k, v in doc.items() if k != CRC_FIELD}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_crc(doc: dict) -> int:
     """CRC32 of a document's canonical JSON form (sans ``"c"``).
 
@@ -103,23 +117,38 @@ def canonical_crc(doc: dict) -> int:
     to serialize with — a reloaded-and-rewritten document (compaction)
     keeps its checksum.
     """
-    if CRC_FIELD in doc:
-        doc = {k: v for k, v in doc.items() if k != CRC_FIELD}
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
+    return zlib.crc32(_canonical(doc).encode("utf-8")) & 0xFFFFFFFF
 
 
 def seal_doc(doc: dict) -> dict:
-    """Return ``doc`` with its checksum field appended (last, so the
-    leading ``{"ev": ...`` prefix stays greppable)."""
+    """Return ``doc`` with its checksum field appended (last).
+
+    ``json.dumps`` of a sealed doc is how older writers spelled a line;
+    :func:`encode_line` is the writer now.
+    """
     sealed = {k: v for k, v in doc.items() if k != CRC_FIELD}
     sealed[CRC_FIELD] = canonical_crc(sealed)
     return sealed
 
 
-def append_doc(fh, doc: dict, *, crc: bool = True) -> None:
+def encode_line(doc: dict) -> str:
+    """One journal line: the canonical encoding the checksum is defined
+    over, with ``,"c":N`` spliced in before the closing brace.
+
+    Because the line *is* the checksummed byte string (minus the
+    splice), a reader verifies it with one CRC over the raw bytes,
+    without decoding it (:func:`scan_jsonl`).
+    """
+    canon = _canonical(doc)
+    crc = zlib.crc32(canon.encode("utf-8")) & 0xFFFFFFFF
+    if canon == "{}":
+        return f'{{"{CRC_FIELD}":{crc}}}\n'
+    return f'{canon[:-1]},"{CRC_FIELD}":{crc}}}\n'
+
+
+def append_doc(fh, doc: dict) -> None:
     """Append one JSONL line durably: write, flush, fsync."""
-    fh.write(json.dumps(seal_doc(doc) if crc else doc) + "\n")
+    fh.write(encode_line(doc))
     fh.flush()
     os.fsync(fh.fileno())
 
@@ -191,63 +220,132 @@ class ScanStats:
     offset: int = 0
 
 
+_CRC_SPLICE = b',"' + CRC_FIELD.encode() + b'":'
+
+
+def check_line(raw: bytes) -> Tuple[Optional[dict], Optional[str], bool]:
+    """Decode one line and check it the slow way: parse, then
+    re-serialize canonically and compare checksums.
+
+    Returns ``(doc, reason, checksummed)``: the document without its
+    checksum field and ``reason`` None, or ``doc`` None and the reason
+    the line is corrupt.  This accepts every line a writer ever sealed,
+    whatever its key order or separators (legacy lines, lines without a
+    checksum); :func:`scan_jsonl` uses it only when the raw check fails,
+    and ``repro store verify`` runs it on every line.
+    """
+    try:
+        doc = json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return None, f"unparseable JSON: {exc}", False
+    if not isinstance(doc, dict):
+        return None, f"not a JSON object: {type(doc).__name__}", False
+    if CRC_FIELD not in doc:
+        return doc, None, False
+    claimed = doc.pop(CRC_FIELD)
+    actual = canonical_crc(doc)
+    if claimed != actual:
+        return None, (f"checksum mismatch: line claims "
+                      f"{claimed!r}, content is {actual}"), True
+    return doc, None, True
+
+
+class JournalLine(Mapping):
+    """One verified journal line, decoded only when read.
+
+    ``raw`` is the line's bytes without the newline; ``parsed`` is its
+    document once decoded, else None.  Lines that passed the raw-bytes
+    checksum arrive undecoded and decode on first :meth:`doc`; lines
+    the scanner had to decode to check (legacy formats) arrive decoded.
+    Either way the document reads without its checksum field.  A line
+    that matched its checksum yet does not decode to an object (only a
+    forged line or a CRC collision can) reads as an empty document.
+    """
+
+    __slots__ = ("raw", "parsed")
+
+    def __init__(self, raw: bytes, parsed: Optional[dict] = None):
+        self.raw = raw
+        self.parsed = parsed
+
+    def doc(self) -> dict:
+        doc = self.parsed
+        if doc is None:
+            try:
+                doc = json.loads(self.raw.decode("utf-8"))
+            except ValueError:
+                doc = {}
+            if not isinstance(doc, dict):
+                doc = {}
+            doc.pop(CRC_FIELD, None)
+            self.parsed = doc
+        return doc
+
+    def __getitem__(self, key):
+        return self.doc()[key]
+
+    def __iter__(self):
+        return iter(self.doc())
+
+    def __len__(self) -> int:
+        return len(self.doc())
+
+
 def scan_jsonl(
     path: str,
-    on_doc: Callable[[dict], None],
+    on_line: Callable[[JournalLine], None],
     *,
     start: int = 0,
     quarantine: Optional[QuarantineLog] = None,
-    verify_crc: bool = True,
 ) -> ScanStats:
-    """Scan ``path`` from byte ``start``, delivering valid documents.
+    """Scan ``path`` from byte ``start``, delivering verified lines.
 
-    Every *complete* line (newline-terminated) either parses, passes
-    its checksum (when present), and reaches ``on_doc`` — or is
-    quarantined and skipped.  An unterminated final line is the torn
-    tail of a killed writer: discarded, scan ends.  ``on_doc``
-    receives the parsed dict with the checksum field already removed.
+    Every *complete* line (newline-terminated) is checksummed here, in
+    the scan, and either reaches ``on_line`` as a :class:`JournalLine`
+    or is quarantined and skipped.  A line written by
+    :func:`encode_line` is verified with one CRC over its raw bytes and
+    is not decoded; any other line falls back to :func:`check_line`.
+    An unterminated final line is the torn tail of a killed writer:
+    discarded, scan ends.
     """
-    stats = ScanStats(offset=start)
     with open(path, "rb") as fh:
         if start:
             fh.seek(start)
-        while True:
-            line = fh.readline()
-            if not line:
-                break
-            if not line.endswith(b"\n"):
-                stats.torn_tail = True
-                break
-            line_offset = stats.offset
-            stats.offset += len(line)
-            reason = None
-            doc = None
-            try:
-                doc = json.loads(line)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                reason = f"unparseable JSON: {exc}"
-            else:
-                if not isinstance(doc, dict):
-                    reason = f"not a JSON object: {type(doc).__name__}"
-                elif CRC_FIELD in doc:
-                    claimed = doc.pop(CRC_FIELD)
-                    actual = canonical_crc(doc)
-                    if claimed != actual:
-                        reason = (f"checksum mismatch: line claims "
-                                  f"{claimed!r}, content is {actual}")
-                    else:
-                        stats.crc_checked += 1
-                else:
-                    stats.crc_missing += 1
-            if reason is not None:
-                stats.corrupt += 1
-                if quarantine is not None:
-                    quarantine.record(offset=line_offset, line=line,
-                                      reason=reason)
+        lines = fh.read().split(b"\n")
+    torn_tail = bool(lines.pop())
+    crc32 = zlib.crc32
+    splice = _CRC_SPLICE
+    skip = len(splice)
+    offset = start
+    raw_ok = checked = missing = corrupt = 0
+    for raw in lines:
+        line_offset = offset
+        offset += len(raw) + 1
+        # the raw check: the bytes before the final ``,"c":`` plus the
+        # closing brace are the canonical encoding, the digits its CRC
+        cut = raw.rfind(splice)
+        if cut > 0 and raw[-1:] == b"}":
+            digits = raw[cut + skip:-1]
+            if digits.isdigit() and \
+                    crc32(b"}", crc32(raw[:cut])) == int(digits):
+                raw_ok += 1
+                on_line(JournalLine(raw))
                 continue
-            stats.docs += 1
-            on_doc(doc)
-    return stats
+        doc, reason, checksummed = check_line(raw)
+        if reason is not None:
+            corrupt += 1
+            if quarantine is not None:
+                quarantine.record(offset=line_offset, line=raw + b"\n",
+                                  reason=reason)
+            continue
+        if checksummed:
+            checked += 1
+        else:
+            missing += 1
+        on_line(JournalLine(raw, doc))
+    return ScanStats(docs=raw_ok + checked + missing, corrupt=corrupt,
+                     crc_checked=raw_ok + checked, crc_missing=missing,
+                     torn_tail=torn_tail, offset=offset)
 
 
 # ---------------------------------------------------------------------------

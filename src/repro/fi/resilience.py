@@ -47,7 +47,7 @@ from ..interp.interpreter import IRInterpreter
 from ..machine.machine import AsmMachine
 from .campaign import CampaignConfig, InjectionRecord
 from .engine import engine_enabled, run_injection_suite
-from .journal import QuarantineLog, append_doc, scan_jsonl
+from .journal import JournalLine, QuarantineLog, append_doc, scan_jsonl
 from .outcomes import Outcome, canonical_trap_kind, classify_outcome
 
 __all__ = [
@@ -362,13 +362,18 @@ def record_from_row(row: Tuple, golden_output: str
 class InjectionJournal:
     """Append-only JSONL checkpoint of classified injections.
 
-    Schema (one JSON object per line)::
+    Schema (one JSON object per line, written canonically — sorted
+    keys, compact separators — with the checksum ``"c"`` last, see
+    :func:`~repro.fi.journal.encode_line`)::
 
-        {"ev": "header", "version": 1, "key": <sha256>,
-         "spec": {...WorkSpec...}, "config": {...CampaignConfig...}}
-        {"ev": "row", "i": <original sample index>, "row": [idx, bit,
-         status, output, iid, asm_index, asm_role, asm_opcode,
-         trap_kind]}
+        {"config":{...CampaignConfig...},"ev":"header","key":<sha256>,
+         "spec":{...WorkSpec...},"version":3,"c":…}
+        {"ev":"row","i":<original sample index>,"row":[idx,bit,status,
+         output,iid,asm_index,asm_role,asm_opcode,trap_kind,
+         fault_model,pruned],"c":…}
+
+    Rows of version 1 (no ``fault_model``) and 2 (no ``pruned``) are
+    padded on load.
 
     Every ``record()`` flushes and fsyncs, so after ``SIGKILL`` at an
     arbitrary point the file holds all fully-classified samples plus at
@@ -447,7 +452,8 @@ class InjectionJournal:
         state: Dict[str, object] = {"header": None}
         completed: Dict[int, Tuple] = {}
 
-        def on_doc(doc: dict) -> None:
+        def on_line(line: JournalLine) -> None:
+            doc = line.doc()
             if doc.get("ev") == "header":
                 state["header"] = doc
             elif doc.get("ev") == "row":
@@ -462,7 +468,7 @@ class InjectionJournal:
                         row = row + [0]
                     completed[doc["i"]] = tuple(row)
 
-        scan_jsonl(path, on_doc, quarantine=QuarantineLog(path))
+        scan_jsonl(path, on_line, quarantine=QuarantineLog(path))
         return state["header"], completed
 
     # -- writing --------------------------------------------------------

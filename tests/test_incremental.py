@@ -10,6 +10,7 @@ guard), the composition statistics, and the planner fast path.
 
 from __future__ import annotations
 
+import json
 import os
 from collections import Counter
 
@@ -226,9 +227,11 @@ class TestStore:
             full = run_incremental_campaign(built, "ir", cfg, store)
 
         lines = open(path).read().splitlines(keepends=True)
-        rows = [ln for ln in lines if '"ev": "row"' in ln]
+        evs = [json.loads(ln)["ev"] for ln in lines]
+        rows = [ln for ln, ev in zip(lines, evs) if ev == "row"]
         # drop every profile commit, keep half the rows, tear the tail
-        kept = [ln for ln in lines if '"ev": "profile"' not in ln]
+        kept = [ln for ln, ev in zip(lines, evs) if ev != "profile"]
+        assert rows and len(kept) < len(lines)
         kept = kept[: 1 + len(rows) // 2]
         kept.append('{"ev": "row", "k": "torn')      # no newline, cut off
         with open(path, "w") as fh:

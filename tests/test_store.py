@@ -31,6 +31,7 @@ from repro.fi.compose import (
 from repro.fi.journal import FileLock, append_doc
 from repro.pipeline import build_from_source
 from repro.trace import CampaignObserver
+from tests.helpers import drop_events, line_event
 
 SRC = """
 const int N = 5;
@@ -145,12 +146,13 @@ class TestQuarantine:
         lines = open(path).read().splitlines(keepends=True)
         # corrupt one complete row line (valid JSON, wrong checksum)
         # and drop the profile commits so the rows actually matter
-        idx = next(i for i, ln in enumerate(lines)
-                   if ln.startswith('{"ev": "row"'))
-        lines[idx] = lines[idx].replace('"ev": "row"', '"ev": "rXw"', 1)
-        kept = [ln for ln in lines if '"ev": "profile"' not in ln]
+        idx = next(i for i, ln in enumerate(lines) if line_event(ln) == "row")
+        doc = json.loads(lines[idx])
+        doc["ev"] = "rXw"                  # keeps the row's old checksum
+        lines[idx] = json.dumps(doc) + "\n"
         with open(path, "w") as fh:
-            fh.writelines(kept)
+            fh.writelines(lines)
+        drop_events(path, "profile")
 
         with SectionProfileStore(path) as store:
             assert store.scan_corrupt == 1
@@ -189,12 +191,7 @@ class TestClaims:
         with SectionProfileStore(path) as store:
             keys = list(store.profiles)
         # strip the profile commits, then claim every key
-        lines = [ln for ln in open(path).read().splitlines(keepends=True)
-                 if '"ev": "profile"' not in ln
-                 and '"ev": "claim"' not in ln
-                 and '"ev": "release"' not in ln]
-        with open(path, "w") as fh:
-            fh.writelines(lines)
+        drop_events(path, "profile", "claim", "release")
         for k in keys:
             _append_raw(path, {
                 "ev": "claim", "k": k, "n": n, "owner": owner,
@@ -356,10 +353,7 @@ class TestMaintenance:
         path = str(tmp_path / "store.jsonl")
         with SectionProfileStore(path) as store:
             full = run_incremental_campaign(built, "ir", CFG, store)
-        lines = [ln for ln in open(path).read().splitlines(keepends=True)
-                 if '"ev": "profile"' not in ln]
-        with open(path, "w") as fh:
-            fh.writelines(lines)
+        drop_events(path, "profile")
         compact_store(path)
         with SectionProfileStore(path) as store:
             assert store.partial

@@ -25,6 +25,7 @@ from repro.fi.compose import (
     verify_store,
 )
 from repro.pipeline import build_from_source
+from tests.helpers import line_event
 
 SRC = """
 const int N = 5;
@@ -106,9 +107,12 @@ def _reference():
 def _row_events(path):
     rows = []
     for line in open(path):
-        if line.startswith('{"ev": "row"') and line.endswith("\n"):
-            doc = json.loads(line)
+        if not line.endswith("\n"):
+            continue
+        doc = json.loads(line)
+        if doc.get("ev") == "row":
             rows.append(((doc["k"], doc["n"], doc["i"]), tuple(doc["row"])))
+    assert rows, f"no row events in {path}"
     return rows
 
 
@@ -186,8 +190,10 @@ class TestConcurrentCampaigns:
         # corrupt one complete row line in place, then resume on top
         lines = open(store_path).read().splitlines(keepends=True)
         idx = next(i for i, ln in enumerate(lines)
-                   if ln.startswith('{"ev": "row"'))
-        lines[idx] = lines[idx].replace('"row"', '"rXw"', 1)
+                   if line_event(ln) == "row")
+        doc = json.loads(lines[idx])
+        doc["ev"] = "rXw"                  # keeps the row's old checksum
+        lines[idx] = json.dumps(doc) + "\n"
         with open(store_path, "w") as fh:
             fh.writelines(lines)
 
