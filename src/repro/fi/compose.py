@@ -277,8 +277,8 @@ class SectionProfile:
         )
 
 
-#: (outcome, its stored name) pairs: stores decode a profile on every
-#: cache hit, and iterating the enum costs more than the lookups
+#: (outcome, its stored name) pairs: a store decodes every profile
+#: commit when it opens, and iterating the enum costs more than the lookups
 _OUTCOME_VALUES = tuple((o, o.value) for o in Outcome)
 
 
@@ -302,49 +302,28 @@ def _doc_of(entry) -> Dict:
     return entry if isinstance(entry, dict) else JournalLine(entry).doc()
 
 
-#: sorted keys make ``"profile"`` the last field of a canonical commit
-#: line, after the key preimage ``"kd"`` that is most of its bytes
-_PROFILE_AT = b',"profile":'
-
-
 def _profile_from(key: str, entry) -> Optional[SectionProfile]:
-    """The profile a commit event carries, or None if malformed.
-
-    A cache hit decodes only the profile object, sliced out of a
-    checksum-verified canonical line; anything else is decoded whole.
-    """
-    body = None
-    if not isinstance(entry, dict):
-        at = entry.rfind(_PROFILE_AT)
-        if at > 0:
-            try:
-                body = json.loads(entry[at + len(_PROFILE_AT):
-                                        entry.rfind(b',"c":')].decode())
-            except ValueError:
-                body = None
-    if body is None:
-        doc = _doc_of(entry)
-        if doc.get("k") != key:
-            return None
-        body = doc.get("profile")
+    """The profile a commit event carries, or None if malformed."""
+    doc = _doc_of(entry)
+    if doc.get("k") != key:
+        return None
     try:
-        return SectionProfile.from_doc(key, body)
+        return SectionProfile.from_doc(key, doc.get("profile"))
     except (KeyError, TypeError, AttributeError):
         return None
 
 
 class _Slot:
-    """One key's state: what its events say so far, plus the verified
-    lines filed under it that nothing has read yet (in file order)."""
+    """One key's state: its latest well-formed profile, plus the rows,
+    claims and releases filed after it that nothing has read yet."""
 
-    __slots__ = ("evs", "pending", "profile", "profile_entry", "rows",
-                 "claim")
+    __slots__ = ("pending", "profile", "profile_entry", "rows", "claim")
 
     def __init__(self) -> None:
-        #: kinds and lines not folded into the state below yet: the raw
-        #: bytes of a line checked without decoding, else its document
-        self.evs: List[str] = []
-        self.pending: List[object] = []
+        #: (kind, line) filed after the profile and not folded into the
+        #: state below yet: the raw bytes of a line checked without
+        #: decoding, else its document
+        self.pending: List[Tuple[str, object]] = []
         #: latest well-formed profile and the commit line carrying it
         self.profile: Optional[SectionProfile] = None
         self.profile_entry: object = None
@@ -359,13 +338,14 @@ class _StoreIndex:
 
     :meth:`add` files each verified line under its key — for a canonical
     line by slicing the key out of the raw bytes, which is safe only
-    because the scan already matched the line's checksum — and decodes
-    nothing but headers.  :meth:`resolve` folds a key's pending lines
-    when something reads the key.  Folding walks back to the newest
-    well-formed profile first: it clears everything before it, so rows
-    of committed keys are never decoded.  Every event affects only its
-    own key, so per-key folding in file order is exactly a sequential
-    replay of the whole file:
+    because the scan already matched the line's checksum.  Profile
+    commits are decoded as they are filed: a well-formed one supersedes
+    the key's profile and drops everything filed before it, so rows of
+    committed keys are released at open and never decoded.  Rows,
+    claims and releases stay raw until something reads the key
+    (:meth:`resolve`).  Every event affects only its own key, so
+    per-key folding in file order is exactly a sequential replay of
+    the whole file:
 
     * ``row`` — well-formed rows are kept per (n, i), latest wins;
     * ``profile`` — a well-formed one supersedes the profile, clears
@@ -376,9 +356,11 @@ class _StoreIndex:
 
     def __init__(self) -> None:
         self.slots: Dict[str, _Slot] = {}
-        #: the first header document, and the first foreign schema seen
+        #: the first header document; whether any header was not ours,
+        #: and the schema that header named (None if it named none)
         self.header: Optional[Dict] = None
-        self.bad_schema: Optional[object] = None
+        self.schema_mismatch = False
+        self.foreign_schema: object = None
         self.events = {"header": 0, "row": 0, "profile": 0,
                        "claim": 0, "release": 0, "other": 0}
 
@@ -393,20 +375,27 @@ class _StoreIndex:
         else:
             doc = entry = line.doc()
             ev, key = doc.get("ev"), doc.get("k")
+        if ev not in _KEYED:
             if ev == "header":
                 self._header(doc)
-        if ev in _KEYED:
-            self.events[ev] += 1
-            if isinstance(key, str):
-                slot = self.slots.get(key)
-                if slot is None:
-                    slot = self.slots[key] = _Slot()
-                slot.evs.append(ev)
-                slot.pending.append(entry)
-        elif ev == "header":
-            self.events["header"] += 1
-        else:
-            self.events["other"] += 1
+            self.events["header" if ev == "header" else "other"] += 1
+            return
+        self.events[ev] += 1
+        if not isinstance(key, str):
+            return
+        slot = self.slots.get(key)
+        if ev == "profile":
+            profile = _profile_from(key, entry)
+            if profile is None:
+                return                  # malformed: treated as absent
+            if slot is None:
+                slot = self.slots[key] = _Slot()
+            slot.profile, slot.profile_entry = profile, entry
+            slot.pending, slot.rows, slot.claim = [], {}, None
+            return
+        if slot is None:
+            slot = self.slots[key] = _Slot()
+        slot.pending.append((ev, entry))
 
     def add_doc(self, doc: Dict) -> None:
         """File a document this process wrote (or would have written)."""
@@ -415,32 +404,23 @@ class _StoreIndex:
     def _header(self, doc: Dict) -> None:
         if self.header is None:
             self.header = doc
-        if doc.get("schema") != STORE_SCHEMA and self.bad_schema is None:
-            self.bad_schema = doc.get("schema")
+        if doc.get("schema") != STORE_SCHEMA and not self.schema_mismatch:
+            self.schema_mismatch = True
+            self.foreign_schema = doc.get("schema")
+
+    def get(self, key: str) -> Optional[SectionProfile]:
+        """``key``'s profile (folded as it was filed: decodes nothing)."""
+        slot = self.slots.get(key)
+        return slot.profile if slot is not None else None
 
     def resolve(self, key: str) -> Optional[_Slot]:
         """``key``'s state with every filed line folded in."""
         slot = self.slots.get(key)
         if slot is None or not slot.pending:
             return slot
-        evs, pending = slot.evs, slot.pending
-        slot.evs, slot.pending = [], []
-        start = 0
-        for j in range(len(pending) - 1, -1, -1):
-            if evs[j] != "profile":
-                continue
-            profile = _profile_from(key, pending[j])
-            if profile is not None:
-                slot.profile, slot.profile_entry = profile, pending[j]
-                slot.rows = {}
-                slot.claim = None
-                start = j + 1
-                break
-        for j in range(start, len(pending)):
-            ev = evs[j]
-            if ev == "profile":
-                continue                # malformed: folded as absent
-            doc = _doc_of(pending[j])
+        pending, slot.pending = slot.pending, []
+        for ev, entry in pending:
+            doc = _doc_of(entry)
             if doc.get("k") != key:
                 continue
             if ev == "row":
@@ -475,10 +455,8 @@ class _StoreIndex:
         """Forget every claim, filed or folded (private mode)."""
         for slot in self.slots.values():
             slot.claim = None
-            kept = [(ev, entry) for ev, entry in zip(slot.evs, slot.pending)
-                    if ev not in ("claim", "release")]
-            slot.evs = [ev for ev, _entry in kept]
-            slot.pending = [entry for _ev, entry in kept]
+            slot.pending = [(ev, entry) for ev, entry in slot.pending
+                            if ev == "row"]
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +492,11 @@ class SectionProfileStore:
     as before.
 
     Opening a store is one pass over its bytes: every line is
-    checksummed, but documents are decoded only when read — a profile
-    on :meth:`get`, rows on :meth:`partial_rows` (and never for a key
-    with a later committed profile), claims when the claim logic looks
-    at them (:class:`_StoreIndex`).
+    checksummed and profile commits are decoded, but rows and claims
+    are decoded only when read — rows on :meth:`partial_rows` (and
+    never for a key with a later committed profile), claims when the
+    claim logic looks at them (:class:`_StoreIndex`).  A cache hit
+    (:meth:`get`) decodes nothing.
 
     A ``profile`` line marks the section complete; rows without one are
     a partial sub-campaign the next run resumes.  Rows carry the plan's
@@ -612,10 +591,10 @@ class SectionProfileStore:
     def _scan_from(self, start: int) -> None:
         stats = scan_jsonl(self.path, self._index.add, start=start,
                            quarantine=self._quarantine)
-        if self._index.bad_schema is not None:
+        if self._index.schema_mismatch:
             raise CampaignError(
                 f"store {self.path!r} has schema "
-                f"{self._index.bad_schema!r}, expected {STORE_SCHEMA!r}")
+                f"{self._index.foreign_schema!r}, expected {STORE_SCHEMA!r}")
         self._offset = stats.offset
         self.scan_corrupt += stats.corrupt
         self.scan_crc_checked += stats.crc_checked
@@ -680,8 +659,7 @@ class SectionProfileStore:
     # -- reads ----------------------------------------------------------
 
     def get(self, key: str) -> Optional[SectionProfile]:
-        slot = self._index.resolve(key)
-        return slot.profile if slot is not None else None
+        return self._index.get(key)
 
     def partial_rows(self, key: str, n: int) -> Dict[int, Tuple]:
         """Journaled rows for ``key`` drawn under a plan of size ``n``."""
@@ -693,23 +671,6 @@ class SectionProfileStore:
     def _claim(self, key: str) -> Optional[Dict]:
         slot = self._index.resolve(key)
         return slot.claim if slot is not None else None
-
-    # whole-store views (decode every key; for tools and tests)
-
-    @property
-    def profiles(self) -> Dict[str, SectionProfile]:
-        return {k: s.profile for k, s in self._index.resolved()
-                if s.profile is not None}
-
-    @property
-    def partial(self) -> Dict[str, Dict[Tuple[int, int], Tuple]]:
-        return {k: dict(s.rows) for k, s in self._index.resolved()
-                if s.rows}
-
-    @property
-    def claims(self) -> Dict[str, Dict]:
-        return {k: s.claim for k, s in self._index.resolved()
-                if s.claim is not None}
 
     # -- claims (multi-writer work dedup) --------------------------------
 
@@ -936,7 +897,7 @@ def verify_store(path: str) -> Dict[str, object]:
 
     stats = scan_jsonl(path, recheck)
     counts = index.counts()
-    schema_ok = index.header is not None and index.bad_schema is None
+    schema_ok = index.header is not None and not index.schema_mismatch
     corrupt = stats.corrupt + failed
     return {
         "path": path,
@@ -1000,7 +961,7 @@ def compact_store(path: str, *,
     with lock.exclusive():
         before = os.path.getsize(path)
         index, stats = _load_index(path, quarantine=QuarantineLog(path))
-        if index.header is None or index.bad_schema is not None:
+        if index.header is None or index.schema_mismatch:
             raise CampaignError(
                 f"store {path!r} has no valid header; refusing to compact")
         slots = sorted(index.resolved())

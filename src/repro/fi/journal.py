@@ -47,7 +47,6 @@ import json
 import os
 import time
 import zlib
-from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Tuple
@@ -221,6 +220,8 @@ class ScanStats:
 
 
 _CRC_SPLICE = b',"' + CRC_FIELD.encode() + b'":'
+#: bytes per read while scanning
+_SCAN_CHUNK = 1 << 20
 
 
 def check_line(raw: bytes) -> Tuple[Optional[dict], Optional[str], bool]:
@@ -250,7 +251,7 @@ def check_line(raw: bytes) -> Tuple[Optional[dict], Optional[str], bool]:
     return doc, None, True
 
 
-class JournalLine(Mapping):
+class JournalLine:
     """One verified journal line, decoded only when read.
 
     ``raw`` is the line's bytes without the newline; ``parsed`` is its
@@ -281,15 +282,6 @@ class JournalLine(Mapping):
             self.parsed = doc
         return doc
 
-    def __getitem__(self, key):
-        return self.doc()[key]
-
-    def __iter__(self):
-        return iter(self.doc())
-
-    def __len__(self) -> int:
-        return len(self.doc())
-
 
 def scan_jsonl(
     path: str,
@@ -308,41 +300,47 @@ def scan_jsonl(
     An unterminated final line is the torn tail of a killed writer:
     discarded, scan ends.
     """
-    with open(path, "rb") as fh:
-        if start:
-            fh.seek(start)
-        lines = fh.read().split(b"\n")
-    torn_tail = bool(lines.pop())
     crc32 = zlib.crc32
     splice = _CRC_SPLICE
     skip = len(splice)
     offset = start
     raw_ok = checked = missing = corrupt = 0
-    for raw in lines:
-        line_offset = offset
-        offset += len(raw) + 1
-        # the raw check: the bytes before the final ``,"c":`` plus the
-        # closing brace are the canonical encoding, the digits its CRC
-        cut = raw.rfind(splice)
-        if cut > 0 and raw[-1:] == b"}":
-            digits = raw[cut + skip:-1]
-            if digits.isdigit() and \
-                    crc32(b"}", crc32(raw[:cut])) == int(digits):
-                raw_ok += 1
-                on_line(JournalLine(raw))
-                continue
-        doc, reason, checksummed = check_line(raw)
-        if reason is not None:
-            corrupt += 1
-            if quarantine is not None:
-                quarantine.record(offset=line_offset, line=raw + b"\n",
-                                  reason=reason)
-            continue
-        if checksummed:
-            checked += 1
-        else:
-            missing += 1
-        on_line(JournalLine(raw, doc))
+    tail = b""
+    with open(path, "rb") as fh:
+        if start:
+            fh.seek(start)
+        # fixed-size reads: a scan holds one chunk of the file, not all
+        # of it, beside whatever the callback keeps
+        for chunk in iter(lambda: fh.read(_SCAN_CHUNK), b""):
+            lines = (tail + chunk if tail else chunk).split(b"\n")
+            tail = lines.pop()
+            for raw in lines:
+                line_offset = offset
+                offset += len(raw) + 1
+                # the raw check: the bytes before the final ``,"c":``
+                # plus the closing brace are the canonical encoding,
+                # the digits its CRC
+                cut = raw.rfind(splice)
+                if cut > 0 and raw[-1:] == b"}":
+                    digits = raw[cut + skip:-1]
+                    if digits.isdigit() and \
+                            crc32(b"}", crc32(raw[:cut])) == int(digits):
+                        raw_ok += 1
+                        on_line(JournalLine(raw))
+                        continue
+                doc, reason, checksummed = check_line(raw)
+                if reason is not None:
+                    corrupt += 1
+                    if quarantine is not None:
+                        quarantine.record(offset=line_offset,
+                                          line=raw + b"\n", reason=reason)
+                    continue
+                if checksummed:
+                    checked += 1
+                else:
+                    missing += 1
+                on_line(JournalLine(raw, doc))
+    torn_tail = bool(tail)
     return ScanStats(docs=raw_ok + checked + missing, corrupt=corrupt,
                      crc_checked=raw_ok + checked, crc_missing=missing,
                      torn_tail=torn_tail, offset=offset)

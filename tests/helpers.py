@@ -1,6 +1,7 @@
 """Shared helpers importable from test modules."""
 
 import json
+from typing import NamedTuple
 
 from repro.backend.lower import lower_module
 from repro.frontend.codegen import compile_source
@@ -34,3 +35,20 @@ def drop_events(path: str, *evs: str) -> None:
     assert len(kept) < len(lines), f"no {evs} line in {path}"
     with open(path, "w") as fh:
         fh.writelines(kept)
+
+
+class StoreState(NamedTuple):
+    """A section-profile store's whole folded state, by key."""
+
+    profiles: dict
+    partial: dict
+    claims: dict
+
+
+def store_state(store) -> StoreState:
+    """Fold every key of an open store (the view its tools take)."""
+    slots = store._index.resolved()
+    return StoreState(
+        {k: s.profile for k, s in slots if s.profile is not None},
+        {k: dict(s.rows) for k, s in slots if s.rows},
+        {k: s.claim for k, s in slots if s.claim is not None})

@@ -37,6 +37,7 @@ from repro.pipeline import build_from_source
 from repro.protection.planner import evaluate_protection, profile_module
 from repro.testgen.minic import GenConfig
 from repro.testgen.strategies import minic_sources
+from tests.helpers import store_state
 
 _SETTINGS = settings(
     max_examples=8,
@@ -238,8 +239,8 @@ class TestStore:
             fh.writelines(kept)
 
         with SectionProfileStore(path) as store:
-            assert not store.profiles
-            assert store.partial
+            assert not store_state(store).profiles
+            assert store_state(store).partial
             resumed = run_incremental_campaign(built, "ir", cfg, store)
         assert resumed.replayed > 0
         assert resumed.simulated + resumed.replayed == full.n_total

@@ -59,7 +59,7 @@ class TestScan:
                 append_doc(fh, {"i": i})
         seen = []
         stats = scan_jsonl(path, seen.append)
-        assert [d["i"] for d in seen] == [0, 1, 2]
+        assert [d.doc()["i"] for d in seen] == [0, 1, 2]
         assert stats.docs == 3
         assert stats.crc_checked == 3
         assert stats.corrupt == 0
@@ -74,7 +74,7 @@ class TestScan:
         ])
         seen = []
         stats = scan_jsonl(path, seen.append)
-        assert [d["i"] for d in seen] == [0]
+        assert [d.doc()["i"] for d in seen] == [0]
         assert stats.torn_tail
         assert stats.corrupt == 0
         # the resume offset points at the torn line, not past it
@@ -92,7 +92,7 @@ class TestScan:
         q = QuarantineLog(path)
         stats = scan_jsonl(path, seen.append, quarantine=q)
         # the corrupt line did NOT shadow the valid line after it
-        assert [d["i"] for d in seen] == [0, 2]
+        assert [d.doc()["i"] for d in seen] == [0, 2]
         assert stats.corrupt == 1
         entries = [json.loads(ln) for ln in open(q.path)]
         assert len(entries) == 1
@@ -109,7 +109,7 @@ class TestScan:
         ])
         seen = []
         stats = scan_jsonl(path, seen.append, quarantine=QuarantineLog(path))
-        assert [d["i"] for d in seen] == [2]
+        assert [d.doc()["i"] for d in seen] == [2]
         assert stats.corrupt == 1
 
     def test_legacy_lines_without_crc_accepted(self, tmp_path):
@@ -117,7 +117,7 @@ class TestScan:
         _write_lines(path, [json.dumps({"i": 0}) + "\n"])
         seen = []
         stats = scan_jsonl(path, seen.append)
-        assert [d["i"] for d in seen] == [0]
+        assert [d.doc()["i"] for d in seen] == [0]
         assert stats.crc_missing == 1
         assert stats.corrupt == 0
 
@@ -130,7 +130,7 @@ class TestScan:
             append_doc(fh, {"i": 1})
         seen = []
         second = scan_jsonl(path, seen.append, start=first.offset)
-        assert [d["i"] for d in seen] == [1]
+        assert [d.doc()["i"] for d in seen] == [1]
         assert second.offset == os.path.getsize(path)
 
     def test_crc_field_stripped_before_delivery(self, tmp_path):
@@ -139,7 +139,7 @@ class TestScan:
             append_doc(fh, {"i": 0})
         seen = []
         scan_jsonl(path, seen.append)
-        assert CRC_FIELD not in seen[0]
+        assert CRC_FIELD not in seen[0].doc()
 
     def test_quarantine_write_failure_never_raises(self, tmp_path):
         q = QuarantineLog(str(tmp_path))   # sidecar path is unwritable

@@ -31,7 +31,7 @@ from repro.fi.compose import (
 from repro.fi.journal import FileLock, append_doc
 from repro.pipeline import build_from_source
 from repro.trace import CampaignObserver
-from tests.helpers import drop_events, line_event
+from tests.helpers import drop_events, line_event, store_state
 
 SRC = """
 const int N = 5;
@@ -110,7 +110,7 @@ class TestNoopCommitSkip:
         built = _build()
         with SectionProfileStore(path) as store:
             run_incremental_campaign(built, "ir", CFG, store)
-            profile = next(iter(store.profiles.values()))
+            profile = next(iter(store_state(store).profiles.values()))
             size = os.path.getsize(path)
             store.commit_profile(profile)
             assert store.noop_commits_skipped == 1
@@ -122,7 +122,7 @@ class TestNoopCommitSkip:
         built = _build()
         with SectionProfileStore(path) as store:
             run_incremental_campaign(built, "ir", CFG, store)
-            profile = next(iter(store.profiles.values()))
+            profile = next(iter(store_state(store).profiles.values()))
             size = os.path.getsize(path)
             bigger = type(profile)(
                 key=profile.key, name=profile.name,
@@ -189,7 +189,7 @@ class TestClaims:
             run_incremental_campaign(built, "ir", CFG, store)
         keys = []
         with SectionProfileStore(path) as store:
-            keys = list(store.profiles)
+            keys = list(store_state(store).profiles)
         # strip the profile commits, then claim every key
         drop_events(path, "profile", "claim", "release")
         for k in keys:
@@ -242,10 +242,10 @@ class TestClaims:
         path = str(tmp_path / "store.jsonl")
         store = SectionProfileStore(path)
         assert store.try_claim("k1", 5) == "mine"
-        assert "k1" in store.claims
+        assert "k1" in store_state(store).claims
         store.close()
         with SectionProfileStore(path) as fresh:
-            assert "k1" not in fresh.claims
+            assert "k1" not in store_state(fresh).claims
 
     def test_busy_when_foreign_plan_is_at_least_as_large(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
@@ -268,8 +268,8 @@ class TestClaims:
             # `store` has not looked at the file since the producer
             # committed; try_claim's locked catch-up must find the
             # profiles instead of claiming
-            key = next(iter(producer.profiles))
-            n = producer.profiles[key].n
+            key = next(iter(store_state(producer).profiles))
+            n = store_state(producer).profiles[key].n
             assert store.try_claim(key, n) == "served"
             store.close()
 
@@ -333,7 +333,7 @@ class TestMaintenance:
         with SectionProfileStore(path) as store:
             run_incremental_campaign(built, "ir", CFG, store)
             # bloat the journal with superseded commits
-            for profile in list(store.profiles.values()):
+            for profile in list(store_state(store).profiles.values()):
                 bigger = type(profile)(
                     key=profile.key, name=profile.name,
                     content_hash=profile.content_hash, n=profile.n + 1,
@@ -356,7 +356,7 @@ class TestMaintenance:
         drop_events(path, "profile")
         compact_store(path)
         with SectionProfileStore(path) as store:
-            assert store.partial
+            assert store_state(store).partial
             resumed = run_incremental_campaign(built, "ir", CFG, store)
         assert resumed.replayed > 0
         assert resumed.counts == full.counts

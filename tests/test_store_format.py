@@ -16,6 +16,7 @@ import zlib
 
 import pytest
 
+from repro.errors import CampaignError
 from repro.fi import journal as journal_mod
 from repro.fi.campaign import CampaignConfig
 from repro.fi.compose import (
@@ -35,7 +36,7 @@ from repro.fi.journal import (
 from repro.fi.parallel import WorkSpec, run_parallel_campaign
 from repro.fi.resilience import InjectionJournal
 from repro.pipeline import build_from_source
-from tests.helpers import drop_events, line_event
+from tests.helpers import drop_events, line_event, store_state
 
 SRC = """
 int twice(int x) {
@@ -86,7 +87,7 @@ def _to_parent_format(path, *, every=1):
 
 
 def _snapshot(store):
-    return store.profiles, store.partial, store.claims
+    return tuple(store_state(store))
 
 
 def _counts(res):
@@ -173,6 +174,21 @@ class TestCanonicalLines:
         assert sa.crc_checked == sb.crc_checked == len(DOCS)
         assert sb.corrupt == 0
 
+    def test_lines_split_across_reads_scan_identically(
+            self, tmp_path, monkeypatch):
+        path = str(tmp_path / "j.jsonl")
+        with open(path, "a", encoding="utf-8") as fh:
+            for doc in DOCS:
+                append_doc(fh, doc)
+            fh.write('{"ev":"row","k":"torn')
+        whole, pieces = [], []
+        expect = scan_jsonl(path, whole.append)
+        monkeypatch.setattr(journal_mod, "_SCAN_CHUNK", 7)
+        got = scan_jsonl(path, pieces.append)
+        assert got == expect and got.torn_tail
+        assert [x.raw for x in pieces] == [x.raw for x in whole]
+        assert [x.doc() for x in pieces] == DOCS
+
     def test_flipped_key_or_body_byte_is_quarantined(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
@@ -225,7 +241,7 @@ class TestStoreCompatibility:
         with SectionProfileStore(path) as a, SectionProfileStore(old) as b:
             assert b.scan_corrupt == 0
             assert _snapshot(a) == _snapshot(b)
-            assert a.profiles
+            assert store_state(a).profiles
             warm_a = run_incremental_campaign(built, "ir", CFG, a)
             warm_b = run_incremental_campaign(built, "ir", CFG, b)
         assert _counts(warm_a) == _counts(warm_b)
@@ -242,7 +258,7 @@ class TestStoreCompatibility:
         _to_parent_format(old, every=every)
         with SectionProfileStore(path) as a, SectionProfileStore(old) as b:
             assert _snapshot(a) == _snapshot(b)
-            assert a.partial
+            assert store_state(a).partial
             res_a = run_incremental_campaign(built, "ir", CFG, a)
             res_b = run_incremental_campaign(built, "ir", CFG, b)
         assert _counts(res_a) == _counts(res_b)
@@ -281,13 +297,62 @@ class TestStoreCompatibility:
             == [(r.dyn_index, r.bit, r.outcome) for r in clean.records]
 
 
+class TestForeignFiles:
+    """Only a store header opens as a store: a header that names no
+    schema, or a campaign journal, is refused by every entry point."""
+
+    def _journal(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        run_parallel_campaign(WorkSpec(source=SRC, layer="asm"),
+                              CampaignConfig(n_campaigns=4, seed=5),
+                              workers=1, journal_path=str(path))
+        assert {line_event(ln) for ln in path.read_text().splitlines()} \
+            == {"header", "row"}
+        return str(path)
+
+    def _schemaless(self, tmp_path, schema):
+        path = tmp_path / "store.jsonl"
+        header = {"ev": "header", "version": 2}
+        if schema is not _ABSENT:
+            header["schema"] = schema
+        with open(path, "w", encoding="utf-8") as fh:
+            append_doc(fh, header)
+        return str(path)
+
+    @pytest.fixture(params=["journal", "no-schema", "null-schema"])
+    def foreign(self, request, tmp_path):
+        if request.param == "journal":
+            return self._journal(tmp_path)
+        return self._schemaless(
+            tmp_path, _ABSENT if request.param == "no-schema" else None)
+
+    def test_open_refuses(self, foreign):
+        before = open(foreign, "rb").read()
+        with pytest.raises(CampaignError, match="schema"):
+            SectionProfileStore(foreign)
+        assert open(foreign, "rb").read() == before
+
+    def test_verify_reports_it(self, foreign):
+        report = verify_store(foreign)
+        assert not report["schema_ok"] and not report["ok"]
+
+    def test_compact_refuses(self, foreign):
+        before = open(foreign, "rb").read()
+        with pytest.raises(CampaignError, match="refusing to compact"):
+            compact_store(foreign)
+        assert open(foreign, "rb").read() == before
+
+
+_ABSENT = object()
+
+
 class TestStoreSemantics:
     def test_malformed_latest_profile_keeps_the_earlier_one(
             self, tmp_path, built):
         path = str(tmp_path / "store.jsonl")
         with SectionProfileStore(path) as store:
             run_incremental_campaign(built, "ir", CFG, store)
-            before = store.profiles
+            before = store_state(store).profiles
         key = next(iter(before))
         row = [0, 0, "ok", "", None, None, None, None, None, "seu", 0]
         with open(path, "a", encoding="utf-8") as fh:
@@ -306,25 +371,8 @@ class TestStoreSemantics:
             # the malformed commits did not clear what came before them
             assert store.partial_rows(key, 99) == {0: tuple(row)}
             assert store.claim_of(key)["owner"] == "otherhost:1:aa"
-            assert store.profiles == before
+            assert store_state(store).profiles == before
         assert verify_store(path)["ok"]
-
-    def test_profile_not_last_on_its_line_still_served(
-            self, tmp_path, built):
-        """A cache hit slices the profile object out of a canonical
-        commit line; a field sorting after it makes the line decode
-        whole instead."""
-        path = str(tmp_path / "store.jsonl")
-        with SectionProfileStore(path) as store:
-            run_incremental_campaign(built, "ir", CFG, store)
-            key, old = next(iter(store.profiles.items()))
-        bigger = dict(old.to_doc(), n=old.n + 7)
-        with open(path, "a", encoding="utf-8") as fh:
-            append_doc(fh, {"ev": "profile", "k": key, "profile": bigger,
-                            "zz": "a later field"})
-        with SectionProfileStore(path) as store:
-            assert store.get(key).n == old.n + 7
-            assert store.get(key).counts == old.counts
 
     def test_compaction_rewrites_legacy_lines_canonically(
             self, tmp_path, built, monkeypatch):
@@ -362,13 +410,17 @@ class TestOpenCost:
             assert sum(line_event(ln) == "row" for ln in fh) > 0
         decoded_events.clear()
         with SectionProfileStore(path) as store:
-            assert decoded_events == ["header"]
+            # commits are decoded as they are filed and release what
+            # came before them: no row waits undecoded either
+            assert set(decoded_events) == {"header", "profile"}
+            assert not any(slot.pending
+                           for slot in store._index.slots.values())
+            decoded_events.clear()
             warm = run_incremental_campaign(built, "ir", CFG, store)
         assert warm.simulated == 0
         assert warm.cache_hits == len(warm.sections)
-        # a cache hit decodes only the profile object, never the rows,
-        # claims or the rest of the commit line
-        assert decoded_events == ["header"]
+        # a cache hit decodes nothing
+        assert decoded_events == []
 
     def test_quarantine_still_happens_at_open(self, tmp_path, built):
         path = str(tmp_path / "store.jsonl")
